@@ -70,8 +70,9 @@ fn main() {
     .expect("bind loopback");
     let mut handle = handle;
 
+    let cpus = std::thread::available_parallelism().map_or(1, |c| c.get());
     println!(
-        "service_throughput: {} requests/round over {:?}, T = {threads}, r = 70",
+        "service_throughput: {} requests/round over {:?}, T = {threads}, r = 70, cpus = {cpus}",
         requests.len(),
         names
     );

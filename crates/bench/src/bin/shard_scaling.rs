@@ -8,15 +8,18 @@
 //! [`sharded_dbscan`] at shards ∈ {1, 2, 4, 8} and reports, per shard
 //! count:
 //!
-//! - the measured wall time (median of `--trials`) and its speedup over
-//!   the single-shard run — on a single-core host the shard teams
-//!   serialize, so this column mostly shows the partition/merge overhead
-//!   is small;
-//! - the **ideal-parallel projection**: the per-shard local-phase times
-//!   come from [`ShardStats::local_ns`], so the projected makespan with
-//!   one worker per shard is `wall − Σ local + max(local)` (partition,
-//!   merge, and the label pass stay sequential). This is the same
-//!   measured-plus-projection reporting convention as `results/s1.txt`;
+//! - the serial wall time (median of `--trials`, a team of 1, so the
+//!   shard tasks run one after another and show the partition/merge
+//!   overhead);
+//! - the measured wall time with a team of `available_parallelism()`
+//!   workers, and its speedup over the single-shard run — what this host
+//!   really gets;
+//! - the **ideal-parallel projection**: the serial run's per-shard
+//!   local-phase times come from [`ShardStats::local_ns`], so the
+//!   projected makespan with one worker per shard is
+//!   `wall − Σ local + max(local)` (partition, merge, and the label pass
+//!   stay sequential). This is the same measured-plus-projection
+//!   reporting convention as `results/s1.txt`;
 //! - the halo census (border points, cross-shard unions) that bounds the
 //!   merge phase.
 //!
@@ -58,6 +61,7 @@ fn main() {
     let out_path = positional.first().cloned();
     let trials = opts.trials.max(3);
     let n = if opts.full { 100_000 } else { opts.points };
+    let cpus = std::thread::available_parallelism().map_or(1, |c| c.get());
     let points = SyntheticSpec::new(SyntheticClass::CF, n, 0.15, 4242).generate();
     let (tree, _) = PackedRTree::build(&points, 80);
     let params = DbscanParams::new(EPS, MINPTS);
@@ -67,7 +71,8 @@ fn main() {
 
     struct Row {
         shards: usize,
-        wall_ms: f64,
+        serial_ms: f64,
+        team_ms: f64,
         ideal_ms: f64,
         border: usize,
         cross: u64,
@@ -75,33 +80,39 @@ fn main() {
     }
     let mut rows: Vec<Row> = Vec::new();
     for shards in SHARD_COUNTS {
-        // A team of 1 serializes the shard tasks, so each task's elapsed
-        // time is its own work (with a real team on a single-core host,
-        // per-task clocks overlap the other tasks' execution and the
-        // projection double-counts). The partition/merge structure — and
-        // therefore the overhead being measured — is identical.
-        let team = 1;
-        let mut walls = Vec::with_capacity(trials);
+        let mut serials = Vec::with_capacity(trials);
+        let mut teams = Vec::with_capacity(trials);
         let mut ideals = Vec::with_capacity(trials);
         let mut last = None;
         for _ in 0..trials {
+            // A team of 1 serializes the shard tasks, so each task's
+            // elapsed time is its own work, which the projection needs
+            // (with a parallel team, per-task clocks overlap and the
+            // projection double-counts).
             let t0 = Instant::now();
-            let (result, stats) = sharded_dbscan(&tree, params, shards, team).unwrap();
-            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+            let (result, stats) = sharded_dbscan(&tree, params, shards, 1).unwrap();
+            let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
             assert_eq!(result, reference, "sharding must not change labels");
             // Ideal-parallel projection: local phases run one worker per
             // shard, everything else stays sequential.
             let sum_local: u64 = stats.local_ns.iter().sum();
             let max_local: u64 = stats.local_ns.iter().copied().max().unwrap_or(0);
-            let ideal_ms = (wall_ms - sum_local as f64 / 1e6 + max_local as f64 / 1e6).max(0.0);
-            walls.push(wall_ms);
+            let ideal_ms = (serial_ms - sum_local as f64 / 1e6 + max_local as f64 / 1e6).max(0.0);
+            // One worker per CPU: what this host really gets.
+            let t0 = Instant::now();
+            let (result, _) = sharded_dbscan(&tree, params, shards, cpus).unwrap();
+            let team_ms = t0.elapsed().as_secs_f64() * 1e3;
+            assert_eq!(result, reference, "sharding must not change labels");
+            serials.push(serial_ms);
+            teams.push(team_ms);
             ideals.push(ideal_ms);
             last = Some(stats);
         }
         let stats = last.expect("at least one trial");
         rows.push(Row {
             shards,
-            wall_ms: median(&walls),
+            serial_ms: median(&serials),
+            team_ms: median(&teams),
             ideal_ms: median(&ideals),
             border: stats.border_points,
             cross: stats.cross_unions,
@@ -126,7 +137,7 @@ fn main() {
         "engine shard path must match the kernel"
     );
 
-    let base = rows[0].wall_ms;
+    let base = rows[0].team_ms;
     let ideal_base = rows[0].ideal_ms;
     let mut table = String::new();
     let w = &mut table;
@@ -134,24 +145,26 @@ fn main() {
         w,
         "# shard_scaling — intra-variant sharded DBSCAN, single wide variant\n\
          # (cargo run --release -p vbp-bench --bin shard_scaling).\n\
-         # Machine: 1 CPU core (see EXPERIMENTS.md), so shard teams serialize and\n\
-         # the measured column shows overhead only; the [ideal-parallel] column\n\
-         # projects one worker per shard from the per-shard local-phase times\n\
-         # (same convention as results/s1.txt).\n\
+         # Machine: {cpus} CPU(s) (available_parallelism). serial-ms runs a team of 1\n\
+         # (shard tasks one after another: the partition/merge overhead); team-ms and\n\
+         # the measured speedup run a team of {cpus}; the [ideal-parallel] column\n\
+         # projects one worker per shard from the serial run's per-shard local-phase\n\
+         # times (same convention as results/s1.txt).\n\
          # cF {} points, eps = {EPS}, minpts = {MINPTS}, r = 80, {trials} trials, medians.\n#",
         points.len(),
     );
     let _ = writeln!(
         w,
-        "shards  wall-ms   speedup[ideal-parallel]   border-pts  cross-unions"
+        "shards  serial-ms  team-ms  speedup[ideal-parallel]   border-pts  cross-unions"
     );
     for row in &rows {
         let _ = writeln!(
             w,
-            "{:>6}  {:>7.1}   {:>6.2}x[{:.2}x]            {:>8}  {:>10}",
+            "{:>6}  {:>9.1}  {:>7.1}   {:>6.2}x[{:.2}x]            {:>8}  {:>10}",
             row.shards,
-            row.wall_ms,
-            base / row.wall_ms,
+            row.serial_ms,
+            row.team_ms,
+            base / row.team_ms,
             ideal_base / row.ideal_ms,
             row.border,
             row.cross,

@@ -73,7 +73,7 @@ use vbp_rtree::traits::shared_points;
 use vbp_rtree::{tune_r_sampled, DynamicRTree, PackedRTree, SpatialIndex, TuneReport};
 use vbp_store::{Container, IndexSnapshot, StoreError};
 
-use crate::expand::cluster_with_reuse_traced;
+use crate::expand::{cluster_with_reuse_traced, ReuseStats};
 use crate::metrics::{ExecutionPath, RunReport, ShardTotals, VariantOutcome, WorkerStats};
 use crate::scheduler::{ScheduleState, Scheduler};
 use crate::seeds::ReuseScheme;
@@ -1460,16 +1460,30 @@ fn worker_loop(
                         } else {
                             variants[u]
                         };
-                        let (result, stats) = cluster_with_reuse_traced(
-                            t_low,
-                            t_high,
-                            variant,
-                            &prev,
-                            source_variant,
-                            reuse,
-                            tracer,
-                            variant_idx,
-                        );
+                        let (result, stats) = if source_variant == variant {
+                            // Identity reuse is total: every cluster is
+                            // valid as it stands and no frontier can grow,
+                            // so the source's partition is the answer.
+                            let stats = ReuseStats {
+                                points_reused: prev.len() - prev.noise_count(),
+                                clusters_reused: prev.num_clusters(),
+                                total_points: prev.len(),
+                                ..ReuseStats::default()
+                            };
+                            (prev, stats)
+                        } else {
+                            let (result, stats) = cluster_with_reuse_traced(
+                                t_low,
+                                t_high,
+                                variant,
+                                &prev,
+                                source_variant,
+                                reuse,
+                                tracer,
+                                variant_idx,
+                            );
+                            (Arc::new(result), stats)
+                        };
                         (
                             result,
                             ExecutionPath::Reused {
@@ -1493,7 +1507,7 @@ fn worker_loop(
                                     .unwrap_or_else(|e| panic!("sharded clustering: {e}"));
                             let stats = shard_stats.dbscan;
                             (
-                                result,
+                                Arc::new(result),
                                 ExecutionPath::FromScratch(stats),
                                 false,
                                 Some(shard_stats),
@@ -1501,7 +1515,12 @@ fn worker_loop(
                         } else {
                             let (result, stats) =
                                 dbscan_with_scratch(t_low, variant.params(), scratch);
-                            (result, ExecutionPath::FromScratch(stats), false, None)
+                            (
+                                Arc::new(result),
+                                ExecutionPath::FromScratch(stats),
+                                false,
+                                None,
+                            )
                         }
                     }
                 }
@@ -1575,7 +1594,7 @@ fn worker_loop(
         // under the schedule mutex, which orders this `set` before its
         // lock-free `get`.
         results[assignment.variant]
-            .set(Arc::new(result))
+            .set(result)
             .expect("variant completed twice");
         {
             let wait_start = Instant::now();
@@ -1879,12 +1898,22 @@ mod tests {
     fn identical_variants_replicate_results() {
         let points = blobs(400, 3, 23);
         let variants = VariantSet::replicated(Variant::new(1.0, 4), 8);
-        let engine = Engine::new(EngineConfig::default().with_threads(4).with_r(16));
-        let report = run(&engine, &points, &variants);
-        let first = &report.results[0];
-        for r in &report.results[1..] {
-            assert_eq!(first.num_clusters(), r.num_clusters());
-            assert_eq!(first.noise_count(), r.noise_count());
+        for threads in [1, 4] {
+            let engine = Engine::new(EngineConfig::default().with_threads(threads).with_r(16));
+            let report = run(&engine, &points, &variants);
+            let first = &report.results[0];
+            for r in &report.results[1..] {
+                assert_eq!(first.num_clusters(), r.num_clusters());
+                assert_eq!(first.noise_count(), r.noise_count());
+            }
+            if threads == 1 {
+                // One worker clusters the first replica and then reuses
+                // it for every other: identity reuse publishes the
+                // partition unchanged, border points included.
+                for r in &report.results[1..] {
+                    assert_eq!(first.labels(), r.labels());
+                }
+            }
         }
     }
 
@@ -2316,10 +2345,41 @@ mod tests {
             );
         }
         // The identity seed is at parameter distance 0 from variant 0, so
-        // that variant reuses it (the frontier re-check still touches the
-        // non-dense remainder, so the fraction is high but below 1).
+        // that variant reuses it: every clustered point is copied, noise
+        // stays noise, so the fraction is the clustered fraction.
         assert!(warm_run.outcomes[0].warm);
         assert!(warm_run.outcomes[0].fraction_reused() > 0.5);
+    }
+
+    #[test]
+    fn identity_warm_source_is_published_unchanged() {
+        let points = blobs(600, 4, 79);
+        let engine = Engine::new(EngineConfig::default().with_threads(2).with_r(16));
+        let prepared = engine.prepare(&points, None).unwrap();
+        let variants = VariantSet::replicated(Variant::new(1.0, 4), 1);
+        let cold = run_prepared(&engine, &prepared, &variants);
+        let warm = vec![WarmSource {
+            variant: variants.get(0),
+            result: Arc::clone(&cold.results[0]),
+        }];
+        let report = run_warm(&engine, &prepared, &variants, &warm);
+        // Shared, not re-clustered and not copied.
+        assert!(Arc::ptr_eq(&report.results[0], &warm[0].result));
+        assert_eq!(report.warm_hits(), 1);
+        let outcome = &report.outcomes[0];
+        assert!(outcome.warm);
+        assert_eq!(outcome.reused_from(), Some(variants.get(0)));
+        let ExecutionPath::Reused { stats, .. } = &outcome.path else {
+            panic!("identity source must take the reuse path");
+        };
+        let source = &warm[0].result;
+        assert_eq!(stats.total_searches(), 0);
+        assert_eq!(stats.clusters_destroyed, 0);
+        assert_eq!(stats.clusters_reused, source.num_clusters());
+        assert_eq!(stats.points_reused, points.len() - source.noise_count());
+        assert_eq!(stats.total_points, points.len());
+        assert_eq!(outcome.clusters, source.num_clusters());
+        assert_eq!(outcome.noise, source.noise_count());
     }
 
     #[test]
@@ -2520,6 +2580,26 @@ mod tests {
             assert!(matches!(
                 warm_err,
                 EngineError::JobPanic(JobPanic { variant, .. }) if variant == poisoned
+            ));
+        }
+
+        // An identity assignment publishes its source's result without
+        // clustering, but the job boundary still runs the seam first.
+        let identity = Variant::new(11.75, 4);
+        let identity_set = VariantSet::new(vec![identity]);
+        let donor = run_prepared(&engine, &index, &identity_set);
+        let warm = vec![WarmSource {
+            variant: identity,
+            result: Arc::clone(&donor.results[0]),
+        }];
+        {
+            let _armed = crate::fault::ArmedFault::new(11.75);
+            let err = engine
+                .execute(&RunRequest::prepared(&index, &identity_set).warm(&warm))
+                .expect_err("identity reuse must still pass the fault seam");
+            assert!(matches!(
+                err,
+                EngineError::JobPanic(JobPanic { variant, .. }) if variant == identity
             ));
         }
 

@@ -166,18 +166,26 @@ impl DominanceCache {
         self.entries.is_empty()
     }
 
-    /// Finds the best warm-start source for `v` on `dataset`: among the
-    /// entries `v` dominates, the one at minimal normalized parameter
+    /// Finds the best warm-start source for `v` on `dataset` whose
+    /// snapshot holds `points` points: among the entries of that
+    /// generation `v` dominates, the one at minimal normalized parameter
     /// distance (ties broken by ascending ε then descending minpts, so
     /// the answer is deterministic). Refreshes the winner's LRU stamp.
-    pub fn lookup(&mut self, dataset: &str, v: Variant) -> Option<CacheHit> {
+    ///
+    /// A concurrent APPEND can leave entries sized for another snapshot
+    /// of the dataset; they are valid for *their* generation, so they are
+    /// kept, but they are never candidates here.
+    pub fn lookup(&mut self, dataset: &str, points: usize, v: Variant) -> Option<CacheHit> {
+        let usable = |e: &CacheEntry| {
+            e.dataset == dataset && e.result.len() == points && v.can_reuse(&e.variant)
+        };
         // Normalize distances over the candidate neighborhood: the spread
         // of parameters across v and everything it dominates here.
         let (mut eps_lo, mut eps_hi) = (v.eps, v.eps);
         let (mut mp_lo, mut mp_hi) = (v.minpts, v.minpts);
         let mut any = false;
         for e in &self.entries {
-            if e.dataset == dataset && v.can_reuse(&e.variant) {
+            if usable(e) {
                 any = true;
                 eps_lo = eps_lo.min(e.variant.eps);
                 eps_hi = eps_hi.max(e.variant.eps);
@@ -203,7 +211,7 @@ impl DominanceCache {
 
         let mut best: Option<(f64, usize)> = None;
         for (i, e) in self.entries.iter().enumerate() {
-            if e.dataset != dataset || !v.can_reuse(&e.variant) {
+            if !usable(e) {
                 continue;
             }
             let d = v.param_distance(&e.variant, eps_range, minpts_range);
@@ -454,13 +462,13 @@ mod tests {
         let mut cache = DominanceCache::new(1 << 20);
         cache.insert("d", Variant::new(1.0, 8), result_of(vec![0, 0, 1, 1]));
         // ε too small: the cached ε exceeds the request's.
-        assert!(cache.lookup("d", Variant::new(0.5, 8)).is_none());
+        assert!(cache.lookup("d", 4, Variant::new(0.5, 8)).is_none());
         // minpts too large on the request side is fine; too small cached
         // minpts is not representable here — the valid direction:
-        let hit = cache.lookup("d", Variant::new(1.5, 4)).unwrap();
+        let hit = cache.lookup("d", 4, Variant::new(1.5, 4)).unwrap();
         assert_eq!(hit.variant, Variant::new(1.0, 8));
         // Wrong dataset never matches.
-        assert!(cache.lookup("other", Variant::new(1.5, 4)).is_none());
+        assert!(cache.lookup("other", 4, Variant::new(1.5, 4)).is_none());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 2));
     }
@@ -471,10 +479,32 @@ mod tests {
         cache.insert("d", Variant::new(0.2, 9), result_of(vec![0; 4]));
         cache.insert("d", Variant::new(0.9, 6), result_of(vec![0; 4]));
         cache.insert("d", Variant::new(1.0, 5), result_of(vec![0; 4]));
-        let hit = cache.lookup("d", Variant::new(1.0, 5)).unwrap();
+        let hit = cache.lookup("d", 4, Variant::new(1.0, 5)).unwrap();
         assert_eq!(hit.variant, Variant::new(1.0, 5), "identity is distance 0");
-        let hit = cache.lookup("d", Variant::new(0.95, 6)).unwrap();
+        let hit = cache.lookup("d", 4, Variant::new(0.95, 6)).unwrap();
         assert_eq!(hit.variant, Variant::new(0.9, 6));
+    }
+
+    #[test]
+    fn lookup_skips_entries_of_another_generation() {
+        let mut cache = DominanceCache::new(1 << 20);
+        // The exact entry was sized for an older snapshot (2 points); the
+        // slightly further one matches the current snapshot (3 points).
+        cache.insert("d", Variant::new(1.0, 4), result_of(vec![0, 0]));
+        cache.insert("d", Variant::new(0.9, 4), result_of(vec![0, 0, 1]));
+        let hit = cache.lookup("d", 3, Variant::new(1.0, 4)).unwrap();
+        assert_eq!(hit.variant, Variant::new(0.9, 4));
+        assert_eq!(hit.result.len(), 3);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (1, 0));
+        // Only a stale candidate: a miss, not a hit discarded later.
+        assert!(cache.lookup("d", 2, Variant::new(0.95, 4)).is_none());
+        assert_eq!(cache.stats().misses, 1);
+        assert_eq!(
+            cache.len(),
+            2,
+            "stale entries are kept for their generation"
+        );
     }
 
     #[test]
@@ -483,7 +513,7 @@ mod tests {
         cache.insert("d", Variant::new(1.0, 4), result_of(vec![0, 0]));
         cache.insert("d", Variant::new(1.0, 4), result_of(vec![0, 1]));
         assert_eq!(cache.len(), 1);
-        let hit = cache.lookup("d", Variant::new(1.0, 4)).unwrap();
+        let hit = cache.lookup("d", 2, Variant::new(1.0, 4)).unwrap();
         assert_eq!(hit.result.num_clusters(), 2);
     }
 
@@ -498,15 +528,15 @@ mod tests {
         cache.insert("d", Variant::new(1.0, 9), result_of(vec![0, 0, 1, 1]));
         cache.insert("d", Variant::new(0.5, 5), result_of(vec![0, 0, 1, 1]));
         // Touch the older entry so the newer one is the LRU victim.
-        assert!(cache.lookup("d", Variant::new(1.0, 9)).is_some());
+        assert!(cache.lookup("d", 4, Variant::new(1.0, 9)).is_some());
         cache.insert("d", Variant::new(2.0, 20), result_of(vec![0, 0, 1, 1]));
         assert_eq!(cache.len(), 2);
         let s = cache.stats();
         assert!(s.bytes <= s.budget_bytes);
         assert_eq!(s.evictions, 1);
         assert_eq!(s.evicted_bytes, one as u64);
-        assert!(cache.lookup("d", Variant::new(1.0, 9)).is_some());
-        assert!(cache.lookup("d", Variant::new(0.5, 5)).is_none());
+        assert!(cache.lookup("d", 4, Variant::new(1.0, 9)).is_some());
+        assert!(cache.lookup("d", 4, Variant::new(0.5, 5)).is_none());
     }
 
     #[test]
@@ -515,7 +545,7 @@ mod tests {
         cache.insert("d", Variant::new(1.0, 4), result_of(vec![0, 0]));
         assert!(cache.is_empty());
         assert_eq!(cache.stats().rejected_oversize, 1);
-        assert!(cache.lookup("d", Variant::new(2.0, 2)).is_none());
+        assert!(cache.lookup("d", 2, Variant::new(2.0, 2)).is_none());
     }
 
     #[test]
@@ -525,7 +555,7 @@ mod tests {
         for i in 0..20u32 {
             let v = Variant::new(0.1 + f64::from(i) * 0.07, 3 + (i as usize % 7));
             cache.insert("d", v, result_of(vec![0, 0, 1, 1]));
-            let _ = cache.lookup("d", v);
+            let _ = cache.lookup("d", 4, v);
             cache.check_invariants().unwrap();
         }
         assert!(cache.stats().evictions > 0, "churn must have evicted");
@@ -554,18 +584,18 @@ mod tests {
             }
         );
         cache.check_invariants().unwrap();
-        let hit = cache.lookup("d", Variant::new(1.0, 4)).unwrap();
+        let hit = cache.lookup("d", 3, Variant::new(1.0, 4)).unwrap();
         assert_eq!(hit.result.len(), 3, "repaired entry was extended");
         assert!(
             cache
-                .lookup("d", Variant::new(2.5, 4))
+                .lookup("d", 3, Variant::new(2.5, 4))
                 .unwrap()
                 .result
                 .len()
                 == 3,
             "dropped entry must not answer; nearest survivor does"
         );
-        let untouched = cache.lookup("other", Variant::new(3.0, 4)).unwrap();
+        let untouched = cache.lookup("other", 1, Variant::new(3.0, 4)).unwrap();
         assert_eq!(untouched.result.len(), 1, "other datasets untouched");
         let s = cache.stats();
         assert_eq!((s.repaired, s.repair_dropped), (1, 1));
@@ -607,7 +637,7 @@ mod tests {
         let mut y = DominanceCache::new(1 << 20);
         for (d, v) in entries.iter().rev() {
             y.insert(d, *v, result_of(vec![0, 0]));
-            let _ = y.lookup(d, Variant::new(9.0, 1));
+            let _ = y.lookup(d, 2, Variant::new(9.0, 1));
         }
         // Refresh one entry in place; order must not depend on it.
         y.insert("a", Variant::new(1.0, 9), result_of(vec![0, 0]));
@@ -653,7 +683,7 @@ mod tests {
         assert_eq!((after.repaired, after.repair_dropped), (0, 0));
         assert_eq!(after.evictions, before.evictions);
         assert_eq!(after.insertions, before.insertions);
-        let hit = cache.lookup("d", Variant::new(1.0, 4)).unwrap();
+        let hit = cache.lookup("d", 3, Variant::new(1.0, 4)).unwrap();
         assert_eq!(
             hit.result.labels().iter_raw().collect::<Vec<_>>(),
             vec![1, 0, 0]

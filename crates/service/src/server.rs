@@ -1013,14 +1013,7 @@ fn run_batch(shared: &Shared, batch: Vec<Job>) {
         {
             let mut cache = shared.cache.lock().unwrap();
             for &v in variants.as_slice() {
-                if let Some(hit) = cache.lookup(&entry.name, v) {
-                    // A concurrent APPEND may leave entries sized for a
-                    // different snapshot than the one this batch holds;
-                    // they are valid for *their* generation but unusable
-                    // as warm sources here.
-                    if hit.result.len() != entry.index.len() {
-                        continue;
-                    }
+                if let Some(hit) = cache.lookup(&entry.name, entry.index.len(), v) {
                     hits += 1;
                     if !warm.iter().any(|w| w.variant == hit.variant) {
                         warm.push(WarmSource {

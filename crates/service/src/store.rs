@@ -43,7 +43,8 @@ pub fn dataset_path(dir: &Path, name: &str) -> PathBuf {
 }
 
 /// Serializes one dataset's warm state and writes it crash-safely
-/// (temp file + rename) under `dir`, creating the directory if needed.
+/// (temp file + fsync + rename + directory fsync) under `dir`, creating
+/// the directory if needed.
 pub fn persist_dataset(
     dir: &Path,
     entry: &DatasetEntry,
@@ -73,7 +74,12 @@ pub fn persist_dataset(
         f.write_all(&snapshot.encode())?;
         f.sync_all()?;
     }
-    std::fs::rename(&tmp, &path)
+    std::fs::rename(&tmp, &path)?;
+    // The rename lives in the directory's entries: fsync the directory
+    // too, or a crash can still roll the store back to the old file.
+    #[cfg(unix)]
+    std::fs::File::open(dir)?.sync_all()?;
+    Ok(())
 }
 
 /// One dataset restored from its store file, validated end to end.

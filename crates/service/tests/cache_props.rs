@@ -33,7 +33,9 @@ fn arb_variant() -> impl Strategy<Value = Variant> {
 #[derive(Clone, Debug)]
 enum Op {
     Insert(&'static str, Variant, usize),
-    Lookup(&'static str, Variant),
+    /// Probe, plus a selector for the snapshot size it is asked for: the
+    /// size of an earlier insert, so hits stay common.
+    Lookup(&'static str, Variant, usize),
 }
 
 fn arb_dataset() -> impl Strategy<Value = &'static str> {
@@ -43,7 +45,7 @@ fn arb_dataset() -> impl Strategy<Value = &'static str> {
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         (arb_dataset(), arb_variant(), 8usize..64).prop_map(|(d, v, n)| Op::Insert(d, v, n)),
-        (arb_dataset(), arb_variant()).prop_map(|(d, v)| Op::Lookup(d, v)),
+        (arb_dataset(), arb_variant(), 0usize..64).prop_map(|(d, v, k)| Op::Lookup(d, v, k)),
     ]
 }
 
@@ -64,19 +66,29 @@ proptest! {
         let budget = budget_entries * result_bytes(&result_of(32));
         let mut cache = DominanceCache::new(budget);
         let mut lookups = 0u64;
+        let mut sizes: Vec<usize> = Vec::new();
         for op in &ops {
             match *op {
                 Op::Insert(dataset, v, n) => {
                     cache.insert(dataset, v, result_of(n));
+                    sizes.push(n);
                     prop_assert!(cache.stats().bytes <= budget);
                 }
-                Op::Lookup(dataset, v) => {
+                Op::Lookup(dataset, v, k) => {
                     lookups += 1;
-                    if let Some(hit) = cache.lookup(dataset, v) {
+                    let n = if sizes.is_empty() { k } else { sizes[k % sizes.len()] };
+                    if let Some(hit) = cache.lookup(dataset, n, v) {
                         prop_assert!(
                             v.can_reuse(&hit.variant),
                             "lookup({dataset}, {v}) returned non-dominated {}",
                             hit.variant
+                        );
+                        prop_assert_eq!(
+                            hit.result.len(),
+                            n,
+                            "lookup({}, {}) returned an entry of another generation",
+                            dataset,
+                            v
                         );
                     }
                 }
@@ -109,7 +121,7 @@ proptest! {
                 mirror.push(*v);
             }
         }
-        let hit = cache.lookup("d", probe);
+        let hit = cache.lookup("d", 16, probe);
         let valid: Vec<Variant> = mirror
             .iter()
             .copied()
@@ -167,7 +179,7 @@ proptest! {
             cache.insert("d", Variant::new(1.0, m), result_of(16));
         }
         let probe = Variant::new(1.0, 1);
-        let hit = cache.lookup("d", probe).expect("all candidates dominated");
+        let hit = cache.lookup("d", 16, probe).expect("all candidates dominated");
         prop_assert_eq!(hit.variant, Variant::new(1.0, minpts_set[0]));
 
         // Case B: shared minpts (minpts spread 0). The ε axis decides:
@@ -180,7 +192,7 @@ proptest! {
         }
         let top = f64::from(*eps_steps.last().unwrap()) * 0.05;
         let probe = Variant::new(top + 0.01, 4);
-        let hit = cache.lookup("d", probe).expect("all candidates dominated");
+        let hit = cache.lookup("d", 16, probe).expect("all candidates dominated");
         prop_assert_eq!(hit.variant, Variant::new(top, 4));
     }
 
@@ -246,7 +258,11 @@ proptest! {
         );
 
         for probe in &probes {
-            if let Some(hit) = cache.lookup("alpha", *probe) {
+            prop_assert!(
+                cache.lookup("alpha", base_n, *probe).is_none(),
+                "an alpha entry is still sized for the old dataset"
+            );
+            if let Some(hit) = cache.lookup("alpha", total, *probe) {
                 prop_assert!(
                     !touched(hit.variant.eps),
                     "lookup returned {} whose ε-region the append touched",
@@ -259,7 +275,11 @@ proptest! {
                     hit.variant
                 );
             }
-            if let Some(hit) = cache.lookup("beta", *probe) {
+            prop_assert!(
+                cache.lookup("beta", total, *probe).is_none(),
+                "maintenance of alpha resized a beta entry"
+            );
+            if let Some(hit) = cache.lookup("beta", base_n, *probe) {
                 prop_assert_eq!(
                     hit.result.len(),
                     base_n,
@@ -300,7 +320,7 @@ fn exact_tie_breaks_by_eps_then_minpts_in_any_order() {
         for v in pair {
             cache.insert("d", v, result_of(16));
         }
-        let hit = cache.lookup("d", probe).expect("both are dominated");
+        let hit = cache.lookup("d", 16, probe).expect("both are dominated");
         assert_eq!(hit.variant, a, "tie must break toward ascending ε");
     }
 }

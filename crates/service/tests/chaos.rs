@@ -61,7 +61,7 @@ mod common;
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use common::{
@@ -80,6 +80,11 @@ use vbp_service::{
 
 const DATASET: &str = "cF_10k_5N@300";
 const MAX_LINE: usize = 512;
+
+/// The engine's fault seam holds one poisoned ε for the whole process and
+/// the harness runs tests in parallel: a test arms it only while holding
+/// this lock, so another test's arm or disarm cannot clobber it.
+static FAULT_SEAM: Mutex<()> = Mutex::new(());
 
 /// Precomputed ground truth for the fixed variant pool: direct engine
 /// labels (caller order) and brute-force core sets, computed once for
@@ -976,6 +981,7 @@ fn panicking_variant_fails_one_job_and_daemon_keeps_serving() {
     client.set_timeout(Some(Duration::from_secs(60))).unwrap();
 
     {
+        let _seam = FAULT_SEAM.lock().unwrap_or_else(|e| e.into_inner());
         let _armed = variantdbscan::fault::ArmedFault::new(poison_eps);
         let t0 = Instant::now();
         let err = client
@@ -1317,6 +1323,7 @@ fn poisoned_batch_peer_is_isolated() {
     );
     let addr = handle.local_addr();
 
+    let _seam = FAULT_SEAM.lock().unwrap_or_else(|e| e.into_inner());
     let _armed = variantdbscan::fault::ArmedFault::new(poison_eps);
     let healthy: Vec<_> = (0..3)
         .map(|k| {

@@ -256,6 +256,13 @@ fn http_and_line_protocol_are_label_isomorphic_and_share_the_cache() {
             "variant {i} ({eps:.3}, {minpts}): resubmission through the other protocol \
              did not hit the shared cache"
         );
+        // The exact repeat returns the cached partition unchanged: the
+        // repeat lands on the HTTP door for even variants and on the
+        // line door for odd ones.
+        assert_eq!(
+            cold_labels, warm_labels,
+            "variant {i} ({eps:.3}, {minpts}): exact repeat moved labels"
+        );
         for (which, labels) in [("cold", cold_labels), ("warm", warm_labels)] {
             assert_isomorphic(
                 &direct_result,

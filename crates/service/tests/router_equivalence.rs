@@ -117,17 +117,36 @@ fn routed_workload_is_label_isomorphic_and_lands_on_the_ring_owner() {
 
         // Cold round through the router: every reply label-isomorphic
         // to the direct engine over the same points.
+        let mut first_answers = Vec::with_capacity(variants.len());
         for (i, &(eps, minpts)) in variants.iter().enumerate() {
             let reply = http.submit(name, eps, minpts, true).unwrap();
             let direct = direct_run(&engine, &points, eps, minpts);
             assert_eq!(reply.clusters, direct.results[0].num_clusters());
             assert_eq!(reply.noise, direct.results[0].noise_count());
             let cores = brute_core_points(&points, eps, minpts);
+            let labels = reply.labels.unwrap();
+            first_answers.push(labels.clone());
             assert_isomorphic(
                 &ClusterResult::from_labels(Labels::from_raw(direct.result_in_caller_order(0))),
-                &ClusterResult::from_labels(Labels::from_raw(reply.labels.unwrap())),
+                &ClusterResult::from_labels(Labels::from_raw(labels)),
                 &cores,
                 &format!("{name} via router, variant {i} ({eps:.3}, {minpts})"),
+            );
+        }
+
+        // A labelled exact repeat is answered from the owner's cache
+        // with the very partition it answered first, border points
+        // included.
+        for (i, &(eps, minpts)) in variants.iter().enumerate() {
+            let reply = http.submit(name, eps, minpts, true).unwrap();
+            assert!(
+                reply.warm,
+                "{name}: labelled repeat missed the owner's cache"
+            );
+            assert_eq!(
+                reply.labels.as_deref(),
+                Some(first_answers[i].as_slice()),
+                "{name} via router, variant {i} ({eps:.3}, {minpts}): repeat moved labels"
             );
         }
 
@@ -143,7 +162,7 @@ fn routed_workload_is_label_isomorphic_and_lands_on_the_ring_owner() {
         for (i, b) in backends.iter().enumerate() {
             let delta = field_u64(&b.stats_json(), "submitted") - before[i];
             let expected = if i == owner_idx {
-                variants.len() as u64 + 3
+                2 * variants.len() as u64 + 3
             } else {
                 0
             };
