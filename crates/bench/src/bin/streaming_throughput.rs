@@ -5,10 +5,17 @@
 //!
 //! - **Index maintenance** (direct engine): starting from a prepared
 //!   index over N points, apply K append batches two ways — through
-//!   [`Engine::append_to_prepared`] (dynamic mirror + occasional
-//!   resort), and by re-running [`Engine::prepare`] from scratch on the
-//!   accumulated points after every batch. Reported: appends/sec each
-//!   way and the incremental speedup.
+//!   [`Engine::append_to_prepared`] (each batch bin-sorted and merged
+//!   into the index's bin order, both packed trees rebuilt), and by
+//!   re-running [`Engine::prepare`] from scratch on the accumulated
+//!   points after every batch. Reported: appends/sec each way and the
+//!   incremental speedup. Then the query side: a from-scratch
+//!   single-variant `execute` on the appended handle against the same on
+//!   a fresh prepare of the same points, interleaved trials, medians and
+//!   their ratio. The appended handle must not be slower by more than
+//!   `max(10%, measured noise)` (noise: half the fresh arm's spread over
+//!   its median); a slower one exits non-zero, which makes this binary a
+//!   `scripts/check.sh` stage.
 //!
 //! - **Delta latency** (end-to-end daemon): a `WATCH`ed dataset receives
 //!   K append batches over loopback TCP; each append's latency is the
@@ -20,14 +27,15 @@
 //!
 //! ```text
 //! cargo run --release -p vbp-bench --bin streaming_throughput \
-//!     [--points N] [--threads T] [appends] [batch]
+//!     [--points N] [--threads T] [--trials K] [appends] [batch]
 //! ```
 //!
-//! Capture to `results/streaming_throughput.txt`.
+//! `T` is capped at the CPU count (`available_parallelism`), and the
+//! header prints both. Capture to `results/streaming_throughput.txt`.
 
 use std::time::{Duration, Instant};
 
-use variantdbscan::{Engine, EngineConfig, RunRequest, Variant, VariantSet};
+use variantdbscan::{Engine, EngineConfig, PreparedIndex, RunRequest, Variant, VariantSet};
 use vbp_bench::BenchOpts;
 use vbp_data::Pcg32;
 use vbp_geom::Point2;
@@ -38,6 +46,16 @@ const DATASET_BASE: &str = "cF_10k_5N";
 fn percentile(sorted: &[f64], p: f64) -> f64 {
     let i = ((sorted.len() as f64 - 1.0) * p).round() as usize;
     sorted[i]
+}
+
+/// Wall time of one from-scratch single-variant `execute`, in ms.
+fn execute_ms(engine: &Engine, index: &PreparedIndex, variants: &VariantSet) -> f64 {
+    let t0 = Instant::now();
+    let report = engine
+        .execute(&RunRequest::prepared(index, variants))
+        .expect("execute");
+    std::hint::black_box(&report);
+    t0.elapsed().as_secs_f64() * 1e3
 }
 
 /// Seeded batch in the data's bounding box (the worst case for cache
@@ -54,7 +72,8 @@ fn gen_batch(rng: &mut Pcg32, lo: Point2, hi: Point2, len: usize) -> Vec<Point2>
 
 fn main() {
     let (opts, positional) = BenchOpts::parse();
-    let threads = opts.threads.min(8);
+    let cpus = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let threads = opts.threads.min(cpus);
     let appends: usize = positional
         .first()
         .and_then(|s| s.parse().ok())
@@ -80,8 +99,16 @@ fn main() {
 
     let config = EngineConfig::default().with_threads(threads).with_r(70);
     let engine = Engine::new(config);
+    let registry = Registry::new();
+    registry.load(&engine, &name).expect("catalog dataset");
+    let eps = registry
+        .get(&name)
+        .and_then(|e| e.suggested_eps)
+        .unwrap_or(1.0);
+    let variants = VariantSet::new(vec![Variant::new(eps, 4)]);
     println!(
-        "streaming_throughput: {name} + {appends} batches x {batch} points, T = {threads}, r = 70"
+        "streaming_throughput: {name} + {appends} batches x {batch} points, \
+         T = {threads}, r = 70, cpus = {cpus}"
     );
 
     // ── Section 1: index maintenance, incremental vs full rebuild ──
@@ -100,6 +127,25 @@ fn main() {
         engine.prepare(&accumulated, None).expect("full prepare");
     }
     let full_secs = t0.elapsed().as_secs_f64();
+    let fresh = engine.prepare(&accumulated, None).expect("prepare");
+
+    // Query side: the appended handle against a fresh prepare of the
+    // same points, interleaved so drift hits both arms alike.
+    let rounds = opts.trials.max(9);
+    execute_ms(&engine, &index, &variants);
+    execute_ms(&engine, &fresh, &variants);
+    let (mut appended_ms, mut fresh_ms) = (Vec::new(), Vec::new());
+    for _ in 0..rounds {
+        appended_ms.push(execute_ms(&engine, &index, &variants));
+        fresh_ms.push(execute_ms(&engine, &fresh, &variants));
+    }
+    appended_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    fresh_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let (m_appended, m_fresh) = (percentile(&appended_ms, 0.5), percentile(&fresh_ms, 0.5));
+    let noise = (fresh_ms[rounds - 1] - fresh_ms[0]) / 2.0 / m_fresh;
+    let threshold = noise.max(0.10);
+    let ratio = m_appended / m_fresh;
+    let query_pass = ratio <= 1.0 + threshold;
 
     println!("\nindex maintenance ({appends} append batches):");
     println!("{:<24} {:>12} {:>14}", "path", "seconds", "appends/sec");
@@ -119,14 +165,20 @@ fn main() {
         "incremental speedup over full re-prepare: {:.2}x",
         full_secs / inc_secs
     );
+    println!(
+        "\nfrom-scratch execute, eps = {eps:.4}, minpts = 4 \
+         ({rounds} interleaved trials, median ms):"
+    );
+    println!("{:<24} {:>10}", "index", "median");
+    println!("{:<24} {:>10.3}", "appended handle", m_appended);
+    println!("{:<24} {:>10.3}", "fresh prepare", m_fresh);
+    println!(
+        "appended / fresh: {ratio:.3}x vs gate 1 + max(10%, noise {:.1}%) -> {}",
+        noise * 100.0,
+        if query_pass { "PASS" } else { "FAIL" }
+    );
 
     // ── Section 2: end-to-end delta latency over loopback TCP ──
-    let registry = Registry::new();
-    registry.load(&engine, &name).expect("catalog dataset");
-    let eps = registry
-        .get(&name)
-        .and_then(|e| e.suggested_eps)
-        .unwrap_or(1.0);
     let mut handle = Server::start(
         engine,
         registry,
@@ -156,7 +208,6 @@ fn main() {
     // Baseline: what a watcher costs without WATCH — re-cluster the
     // accumulated points from scratch after every batch.
     let engine = Engine::new(config);
-    let variants = VariantSet::new(vec![Variant::new(eps, 4)]);
     let mut accumulated = initial.clone();
     let mut recluster: Vec<f64> = Vec::with_capacity(appends);
     for b in &batches {
@@ -191,6 +242,10 @@ fn main() {
 
     assert!(
         inc_secs < full_secs,
-        "incremental maintenance lost to full re-prepare — the dynamic mirror is broken"
+        "incremental maintenance lost to full re-prepare — the merge is broken"
     );
+    if !query_pass {
+        eprintln!("streaming_throughput gate FAILED: the appended handle queries slower than a fresh prepare");
+        std::process::exit(1);
+    }
 }

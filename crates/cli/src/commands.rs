@@ -596,7 +596,7 @@ fn store_inspect(path: &std::path::Path) -> Result<String, String> {
     let _ = writeln!(s, "dataset '{}':", snapshot.meta.name);
     let _ = writeln!(
         s,
-        "  {} points, r = {}, fanout = {}, {} appended since last sort",
+        "  {} points, r = {}, fanout = {}, legacy unsorted-tail count = {} (0 in new files)",
         index.points.len(),
         index.chosen_r,
         index.fanout,

@@ -68,9 +68,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use vbp_dbscan::{dbscan_with_scratch, sharded_dbscan, ClusterResult, DbscanScratch};
-use vbp_geom::{BinOrder, Point2, PointId};
+use vbp_geom::{bin_merge, BinOrder, Point2, PointId};
 use vbp_rtree::traits::shared_points;
-use vbp_rtree::{tune_r_sampled, DynamicRTree, PackedRTree, SpatialIndex, TuneReport};
+use vbp_rtree::{tune_r_sampled, PackedRTree, TuneReport};
 use vbp_store::{Container, IndexSnapshot, StoreError};
 
 use crate::expand::{cluster_with_reuse_traced, ReuseStats};
@@ -318,12 +318,6 @@ pub struct PreparedIndex {
     chosen_r: usize,
     tune: Option<TuneReport>,
     build_time: Duration,
-    /// Caller-order insertion-capable mirror, materialized on the first
-    /// [`Engine::append_to_prepared`] and maintained incrementally after.
-    dynamic: Option<DynamicRTree>,
-    /// Points appended (at the tree tail, outside bin order) since the
-    /// last full bin sort — the maintain-vs-resort policy input.
-    appended_since_sort: usize,
 }
 
 impl PreparedIndex {
@@ -374,21 +368,6 @@ impl PreparedIndex {
         self.build_time
     }
 
-    /// The caller-order [`DynamicRTree`] mirror, present once the handle
-    /// has been through at least one [`Engine::append_to_prepared`].
-    /// Point ids in this tree ARE caller ids, so `id < old_len` tells an
-    /// original point from an appended one — the affected-ε-region test
-    /// the service's cache repair runs.
-    pub fn dynamic(&self) -> Option<&DynamicRTree> {
-        self.dynamic.as_ref()
-    }
-
-    /// Points appended at the tree tail since the last full bin sort.
-    /// Zero for a freshly prepared (or freshly re-sorted) handle.
-    pub fn appended_since_sort(&self) -> usize {
-        self.appended_since_sort
-    }
-
     /// The accumulated database in the caller's original point order
     /// (inverts [`PreparedIndex::permutation`]).
     pub fn caller_points(&self) -> Vec<Point2> {
@@ -402,18 +381,11 @@ impl PreparedIndex {
 
     /// Writes this handle's complete warm state into `w` as one
     /// checksummed [`vbp_store`] container: the tree-order points, the
-    /// permutation, the tuned-`r` report, and the append generation
-    /// counter. [`PreparedIndex::restore`] on those bytes skips the bin
-    /// sort and the auto-tune sweep entirely and re-derives both packed
-    /// trees from the stored order in O(n).
-    ///
-    /// The caller-order [`DynamicRTree`] mirror is *not* serialized —
-    /// a restored handle has [`PreparedIndex::dynamic`] `== None` and
-    /// the first append rematerializes it, exactly like a freshly
-    /// prepared handle. Callers that want a clean generation on disk
-    /// should flush a dirty tail through [`Engine::resort_prepared`]
-    /// first; snapshotting a dirty handle is still correct (the counter
-    /// round-trips), it just persists tail-degraded query locality.
+    /// permutation, and the tuned-`r` report. [`PreparedIndex::restore`]
+    /// on those bytes skips the bin sort and the auto-tune sweep entirely
+    /// and re-derives both packed trees from the stored order in O(n).
+    /// Every handle is in bin order (appends merge into it), so the
+    /// legacy `appended_since_sort` field is always written as 0.
     pub fn snapshot<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
         w.write_all(&self.snapshot_bytes())
     }
@@ -433,7 +405,7 @@ impl PreparedIndex {
             fanout: self.t_low.fanout(),
             tune: self.tune.clone(),
             build_time_ns: self.build_time.as_nanos().min(u128::from(u64::MAX)) as u64,
-            appended_since_sort: self.appended_since_sort as u64,
+            appended_since_sort: 0,
         }
     }
 
@@ -461,17 +433,19 @@ impl PreparedIndex {
     ///
     /// Both packed trees are *derived* from the stored tree-order
     /// points — `PackedRTree::from_sorted_with_fanout` is the single
-    /// construction path fresh prepares, maintained appends, and
-    /// re-sorts all go through, so the derived trees are bit-identical
-    /// to the ones that were snapshotted, in every append-generation
-    /// state. Deriving (instead of trusting level MBBs from disk) also
+    /// construction path fresh prepares and appends both go through, so
+    /// the derived trees are bit-identical to the ones that were
+    /// snapshotted. Deriving (instead of trusting level MBBs from disk) also
     /// closes the one hole checksums cannot: a CRC-valid but *crafted*
     /// file whose boxes fail to cover their points would silently drop
     /// neighbors; boxes computed from the validated points cannot.
     ///
     /// The snapshot's fields are re-validated here (decode already
     /// guarantees them, but the struct is plain public data), so this
-    /// is total even on a hand-built snapshot.
+    /// is total even on a hand-built snapshot. A non-zero legacy
+    /// `appended_since_sort` (an unsorted append tail written by an
+    /// older version) is bounds-checked and otherwise ignored: its
+    /// stored order is still a valid tree order.
     pub fn from_snapshot(snap: IndexSnapshot) -> Result<Self, StoreError> {
         let malformed = |section: u32, reason: String| StoreError::Malformed { section, reason };
         let n = snap.points.len();
@@ -539,7 +513,7 @@ impl PreparedIndex {
             fanout,
             tune,
             build_time_ns,
-            appended_since_sort,
+            appended_since_sort: _,
         } = snap;
         let shared = points;
         let xs: Arc<[f64]> = shared.iter().map(|p| p.x).collect();
@@ -564,8 +538,6 @@ impl PreparedIndex {
             chosen_r,
             tune,
             build_time: Duration::from_nanos(build_time_ns),
-            dynamic: None,
-            appended_since_sort: appended_since_sort as usize,
         }
     }
 
@@ -594,13 +566,6 @@ fn high_tree_for(t_low: &PackedRTree) -> PackedRTree {
     PackedRTree::from_sorted_with_coords(t_low.shared_points(), 1, t_low.fanout(), xs, ys)
 }
 
-/// Unsorted-tail fraction above which [`Engine::append_to_prepared`]
-/// re-sorts the whole handle instead of maintaining the packed arrays in
-/// place. Appends land at the tail of tree order (outside bin order), so
-/// query locality degrades with the tail; a quarter of the dataset is
-/// where the one-off O(n log n) re-sort starts paying for itself.
-pub const APPEND_RESORT_FRACTION: f64 = 0.25;
-
 /// Record of one [`Engine::append_to_prepared`] batch.
 #[derive(Clone, Copy, Debug)]
 pub struct AppendReport {
@@ -608,10 +573,7 @@ pub struct AppendReport {
     pub appended: usize,
     /// Dataset size after the batch.
     pub total: usize,
-    /// Whether the handle crossed [`APPEND_RESORT_FRACTION`] and was
-    /// rebuilt with a full bin sort (tail reset to zero).
-    pub resorted: bool,
-    /// Wall time spent maintaining or re-sorting the handle.
+    /// Wall time spent merging the batch and rebuilding both trees.
     pub time: Duration,
 }
 
@@ -986,8 +948,6 @@ impl Engine {
             chosen_r,
             tune,
             build_time: build_start.elapsed(),
-            dynamic: None,
-            appended_since_sort: 0,
         }
     }
 
@@ -995,19 +955,13 @@ impl Engine {
     /// the successor handle (functional update — in-flight runs over the
     /// old handle stay valid) plus an [`AppendReport`].
     ///
-    /// The maintain path appends the new points at the *tail of tree
-    /// order* and rebuilds the packed `T_low`/`T_high` arrays with
-    /// [`PackedRTree::from_sorted`] — no bin sort and no `r` re-tune, the
-    /// O(n) cost that makes appends cheap relative to a full
-    /// [`Engine::prepare`]. Appended caller ids continue the old
-    /// numbering (`old_len..old_len+k`). Once the unsorted tail exceeds
-    /// [`APPEND_RESORT_FRACTION`] of the dataset, the handle is re-sorted
-    /// from scratch (same `chosen_r`; the tail fraction resets to zero)
-    /// so query locality cannot degrade without bound.
-    ///
-    /// Either way the caller-order [`DynamicRTree`] mirror is maintained
-    /// incrementally (materialized from the accumulated points on the
-    /// first append).
+    /// The batch is bin-sorted and merged into the handle's bin order
+    /// ([`bin_merge`], O(n + k log k)), and both packed trees are rebuilt
+    /// over the merged order with the handle's `r` (no re-tune). The
+    /// successor therefore has the trees a fresh [`Engine::prepare`] of
+    /// the accumulated points would build with that `r`, without the
+    /// O(n log n) sort. Appended caller ids continue the old numbering
+    /// (`old_len..old_len+k`).
     pub fn append_to_prepared(
         &self,
         index: &PreparedIndex,
@@ -1022,98 +976,45 @@ impl Engine {
         let start = Instant::now();
         let old_n = index.len();
         let total = old_n + new_points.len();
-
-        let mut dynamic = match &index.dynamic {
-            Some(tree) => tree.clone(),
-            None => DynamicRTree::from_points(&index.caller_points()),
-        };
-        for &p in new_points {
-            dynamic.insert(p);
-        }
-
-        let unsorted_tail = index.appended_since_sort + new_points.len();
-        let resorted = unsorted_tail as f64 > total as f64 * APPEND_RESORT_FRACTION;
-        let mut next = if resorted {
-            // Full re-sort: bin-sort the accumulated caller-order points
-            // with the already-chosen r (no re-tune).
-            let (t_low, permutation) = PackedRTree::build_with_order(
-                dynamic.points(),
-                index.chosen_r,
-                self.config.bin_order,
-            );
-            let t_high = high_tree_for(&t_low);
-            PreparedIndex {
-                t_low,
-                t_high,
-                permutation,
-                chosen_r: index.chosen_r,
-                tune: index.tune.clone(),
-                build_time: index.build_time,
-                dynamic: Some(dynamic),
-                appended_since_sort: 0,
+        let old_points = index.t_low.shared_points();
+        // Merged ids index `old tree order ++ new_points`; a new point's
+        // merged id is already its caller id (`old_n + j`).
+        let merged = bin_merge(&old_points, new_points, self.config.bin_order);
+        let mut tree_points = Vec::with_capacity(merged.len());
+        let mut permutation = Vec::with_capacity(merged.len());
+        for &id in &merged {
+            let id = id as usize;
+            if id < old_n {
+                tree_points.push(old_points[id]);
+                permutation.push(index.permutation[id]);
+            } else {
+                tree_points.push(new_points[id - old_n]);
+                permutation.push(id as PointId);
             }
-        } else {
-            // Maintain: new tree order = old tree order ++ new points.
-            let mut tree_points: Vec<Point2> = index.t_low.shared_points().to_vec();
-            tree_points.extend_from_slice(new_points);
-            let shared = shared_points(tree_points);
-            let t_low = PackedRTree::from_sorted(shared, index.chosen_r);
-            let t_high = high_tree_for(&t_low);
-            let mut permutation = index.permutation.clone();
-            permutation.extend((old_n..total).map(|i| i as PointId));
-            PreparedIndex {
-                t_low,
-                t_high,
-                permutation,
-                chosen_r: index.chosen_r,
-                tune: index.tune.clone(),
-                build_time: index.build_time,
-                dynamic: Some(dynamic),
-                appended_since_sort: unsorted_tail,
-            }
-        };
-        let time = start.elapsed();
-        next.build_time += time;
-        Ok((
-            next,
-            AppendReport {
-                appended: new_points.len(),
-                total,
-                resorted,
-                time,
-            },
-        ))
-    }
-
-    /// Flushes a handle's unsorted append tail through the same full
-    /// re-sort [`Engine::append_to_prepared`] applies when the tail
-    /// crosses [`APPEND_RESORT_FRACTION`]: bin-sort the accumulated
-    /// caller-order points with the already-chosen `r` (no re-tune) and
-    /// rebuild both packed trees. The returned handle answers the same
-    /// queries with `appended_since_sort == 0` — the clean generation
-    /// the warm-state store persists before shutdown. A handle that is
-    /// already clean is returned as a cheap clone.
-    pub fn resort_prepared(&self, index: &PreparedIndex) -> PreparedIndex {
-        if index.appended_since_sort == 0 {
-            return index.clone();
         }
-        let start = Instant::now();
-        let caller = index.caller_points();
-        let (t_low, permutation) =
-            PackedRTree::build_with_order(&caller, index.chosen_r, self.config.bin_order);
+        let t_low = PackedRTree::from_sorted_with_fanout(
+            shared_points(tree_points),
+            index.chosen_r,
+            index.t_low.fanout(),
+        );
         let t_high = high_tree_for(&t_low);
-        let mut next = PreparedIndex {
+        let time = start.elapsed();
+        let next = PreparedIndex {
             t_low,
             t_high,
             permutation,
             chosen_r: index.chosen_r,
             tune: index.tune.clone(),
-            build_time: index.build_time,
-            dynamic: index.dynamic.clone(),
-            appended_since_sort: 0,
+            build_time: index.build_time + time,
         };
-        next.build_time += start.elapsed();
-        next
+        Ok((
+            next,
+            AppendReport {
+                appended: new_points.len(),
+                total,
+                time,
+            },
+        ))
     }
 
     /// Clusters `variants` over a prebuilt index.
@@ -1727,26 +1628,27 @@ mod tests {
         let all = blobs(700, 4, 7);
         let variants = small_grid();
         let engine = Engine::new(EngineConfig::default().with_threads(2).with_r(16));
-        let mut index = engine.prepare(&all[..400], Some(1.2)).expect("finite");
-        assert!(index.dynamic().is_none());
+        let mut index = engine.prepare(&all[..200], Some(1.2)).expect("finite");
 
-        // First batch (100 on 400: tail 20% — maintain), second batch
-        // (+100: tail 200/600 = 33% — resort).
-        let mut saw_resort = false;
-        for (start, end) in [(400, 500), (500, 700)] {
+        // 1-point batches, small ones, and one larger than the dataset.
+        let mut end = 200;
+        for k in [1, 23, 1, 260, 9, 1, 6] {
             let (next, report) = engine
-                .append_to_prepared(&index, &all[start..end])
+                .append_to_prepared(&index, &all[end..end + k])
                 .expect("finite batch");
-            assert_eq!(report.appended, end - start);
+            end += k;
+            assert_eq!(report.appended, k);
             assert_eq!(report.total, end);
-            saw_resort |= report.resorted;
             index = next;
 
-            assert_eq!(index.len(), end);
+            let fresh = engine.prepare(&all[..end], Some(1.2)).expect("finite");
+            assert_eq!(
+                index.t_low().shared_points(),
+                fresh.t_low().shared_points(),
+                "tree order after appending to {end} points differs from a fresh prepare"
+            );
+            assert_eq!(index.permutation(), fresh.permutation());
             assert_eq!(index.caller_points(), all[..end].to_vec());
-            let dynamic = index.dynamic().expect("mirror materialized");
-            assert_eq!(dynamic.len(), end);
-            assert_eq!(dynamic.points(), &all[..end]);
 
             let streamed = run_prepared(&engine, &index, &variants);
             let fresh = run(&engine, &all[..end], &variants);
@@ -1758,8 +1660,6 @@ mod tests {
                 );
             }
         }
-        assert!(saw_resort, "second batch must cross APPEND_RESORT_FRACTION");
-        assert_eq!(index.appended_since_sort(), 0, "resort resets the tail");
 
         let err = engine
             .append_to_prepared(&index, &[Point2::new(f64::NAN, 0.0)])

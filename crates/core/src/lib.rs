@@ -58,7 +58,7 @@ pub mod variant;
 pub use deptree::DependencyTree;
 pub use engine::{
     AppendReport, Engine, EngineConfig, EngineError, JobPanic, PreparedIndex, RChoice, RunRequest,
-    RunSource, Sharding, WarmSource, APPEND_RESORT_FRACTION,
+    RunSource, Sharding, WarmSource,
 };
 pub use expand::{cluster_with_reuse, ReuseStats};
 pub use metrics::{

@@ -9,9 +9,10 @@
 //! 2. **Bit-identical labels**: every variant clustered over the
 //!    restored handle produces exactly the raw label vector (not merely
 //!    an isomorphic one) and exactly the `chosen_r` the original does;
-//! 3. **Generation-proof**: both append branches (in-place maintain and
-//!    the `APPEND_RESORT_FRACTION` full re-sort) survive the round
-//!    trip, as does an explicit [`Engine::resort_prepared`] flush.
+//! 3. **Generation-proof**: an appended handle survives the round trip
+//!    unchanged, and a snapshot carrying a legacy non-zero append
+//!    counter (an unsorted tail written by an older version) still
+//!    restores.
 
 use variantdbscan::{
     Engine, EngineConfig, PreparedIndex, RChoice, RunRequest, Variant, VariantSet,
@@ -77,10 +78,6 @@ fn assert_equivalent(engine: &Engine, original: &PreparedIndex, restored: &Prepa
     assert_eq!(restored.chosen_r(), original.chosen_r());
     assert_eq!(restored.permutation(), original.permutation());
     assert_eq!(
-        restored.appended_since_sort(),
-        original.appended_since_sort()
-    );
-    assert_eq!(
         restored.tune().map(|t| t.best_r),
         original.tune().map(|t| t.best_r)
     );
@@ -116,8 +113,6 @@ fn fresh_prepare_roundtrips() {
     assert!(index.tune().is_some(), "auto-tune should have run");
     let restored = roundtrip(&index);
     assert_equivalent(&engine, &index, &restored);
-    // The restored handle never carries the dynamic mirror.
-    assert!(restored.dynamic().is_none());
 }
 
 #[test]
@@ -143,37 +138,29 @@ fn empty_dataset_roundtrips() {
 }
 
 #[test]
-fn maintained_append_generation_roundtrips() {
+fn appended_handle_roundtrips_unchanged() {
     let engine = engine();
     let points = cloud(1000, 0x5EED);
     let index = engine.prepare(&points, Some(0.5)).unwrap();
-    // Small batch: stays under APPEND_RESORT_FRACTION → maintain branch.
-    let extra = cloud(60, 0xD00D);
-    let (index, report) = engine.append_to_prepared(&index, &extra).unwrap();
-    assert!(!report.resorted);
-    assert!(index.appended_since_sort() > 0);
+    let (index, report) = engine
+        .append_to_prepared(&index, &cloud(60, 0xD00D))
+        .unwrap();
+    assert_eq!(report.total, 1060);
+    let (index, _) = engine
+        .append_to_prepared(&index, &cloud(400, 0xCAFE))
+        .unwrap();
     let restored = roundtrip(&index);
-    assert_equivalent(&engine, &index, &restored);
-}
-
-#[test]
-fn resorted_append_generation_roundtrips() {
-    let engine = engine();
-    let points = cloud(600, 0xF00D);
-    let index = engine.prepare(&points, Some(0.5)).unwrap();
-    // Large batch: crosses APPEND_RESORT_FRACTION → full re-sort.
-    let extra = cloud(400, 0xCAFE);
-    let (index, report) = engine.append_to_prepared(&index, &extra).unwrap();
-    assert!(report.resorted);
-    assert_eq!(index.appended_since_sort(), 0);
-    let restored = roundtrip(&index);
+    assert_eq!(
+        restored.t_low().shared_points(),
+        index.t_low().shared_points()
+    );
+    assert_eq!(restored.to_snapshot().appended_since_sort, 0);
     assert_equivalent(&engine, &index, &restored);
 }
 
 #[test]
 fn appends_resume_on_a_restored_handle() {
-    // restore → append must behave exactly like append on the original:
-    // the dynamic mirror rematerializes from the restored points.
+    // restore → append must behave exactly like append on the original.
     let engine = engine();
     let points = cloud(800, 0x1234);
     let extra = cloud(50, 0x5678);
@@ -182,40 +169,51 @@ fn appends_resume_on_a_restored_handle() {
 
     let (a, _) = engine.append_to_prepared(&original, &extra).unwrap();
     let (b, _) = engine.append_to_prepared(&restored, &extra).unwrap();
-    assert!(b.dynamic().is_some());
     assert_equivalent(&engine, &a, &b);
 }
 
 #[test]
-fn resort_prepared_flushes_the_tail_and_roundtrips() {
+fn legacy_unsorted_tail_snapshot_restores() {
+    // An older version appended batches at the tail of tree order and
+    // counted them in `appended_since_sort`. Such a file must restore:
+    // the counter is accepted and ignored, the stored order kept.
     let engine = engine();
     let points = cloud(900, 0x9999);
+    let extra = cloud(80, 0x8888);
     let index = engine.prepare(&points, Some(0.5)).unwrap();
-    let (dirty, report) = engine
-        .append_to_prepared(&index, &cloud(80, 0x8888))
-        .unwrap();
-    assert!(!report.resorted);
+    let mut legacy = index.to_snapshot();
+    let mut tail: Vec<_> = legacy.points.to_vec();
+    tail.extend_from_slice(&extra);
+    legacy.points = tail.into();
+    legacy
+        .permutation
+        .extend(points.len() as u32..(points.len() + extra.len()) as u32);
+    legacy.appended_since_sort = extra.len() as u64;
+    let bytes = legacy.encode();
 
-    let clean = engine.resort_prepared(&dirty);
-    assert_eq!(clean.appended_since_sort(), 0);
-    assert_eq!(clean.len(), dirty.len());
-    assert_eq!(clean.chosen_r(), dirty.chosen_r());
-    // Same database, label-identical in caller order (tree orders differ).
+    let restored = PreparedIndex::restore(&mut bytes.as_slice()).unwrap();
+    assert_eq!(restored.t_low().shared_points(), legacy.points);
+    assert_eq!(restored.permutation(), legacy.permutation.as_slice());
+    assert_eq!(restored.to_snapshot().appended_since_sort, 0);
+
+    // It clusters like a fresh prepare of the same points: the cluster
+    // and noise counts do not depend on the tree order.
+    let mut all = points.clone();
+    all.extend_from_slice(&extra);
+    let fresh = engine.prepare(&all, Some(0.5)).unwrap();
     let vs = variants();
-    let a = engine.execute(&RunRequest::prepared(&dirty, &vs)).unwrap();
-    let b = engine.execute(&RunRequest::prepared(&clean, &vs)).unwrap();
-    for (ra, rb) in a.results.iter().zip(&b.results) {
-        assert_eq!(
-            dirty.labels_in_caller_order(ra),
-            clean.labels_in_caller_order(rb)
-        );
+    let a = engine
+        .execute(&RunRequest::prepared(&restored, &vs))
+        .unwrap();
+    let b = engine.execute(&RunRequest::prepared(&fresh, &vs)).unwrap();
+    for (oa, ob) in a.outcomes.iter().zip(&b.outcomes) {
+        assert_eq!((oa.clusters, oa.noise), (ob.clusters, ob.noise));
     }
-    // A clean handle resorts to a cheap clone.
-    let again = engine.resort_prepared(&clean);
-    assert_eq!(again.permutation(), clean.permutation());
-
-    let restored = roundtrip(&clean);
-    assert_equivalent(&engine, &clean, &restored);
+    // And appends resume on it.
+    let (grown, _) = engine
+        .append_to_prepared(&restored, &cloud(20, 0x7777))
+        .unwrap();
+    assert_eq!(grown.len(), all.len() + 20);
 }
 
 #[test]

@@ -72,6 +72,42 @@ pub fn bin_sort_with_width(points: &[Point2], width: f64, order: BinOrder) -> Ve
     perm
 }
 
+/// Merges a batch of `new` points into an existing [`bin_sort`] order.
+///
+/// `sorted` must already be in unit-width bin order for the same
+/// `order` (e.g. the tree-order points of a packed R-tree). Ids in the
+/// returned order index the concatenation `sorted ++ new`: `i < n`
+/// is `sorted[i]`, `n + j` is `new[j]`. The batch is bin-sorted on its
+/// own (O(k log k)) and merged with one O(n + k) walk, keeping `sorted`
+/// elements first on ties. Because the bin key is absolute (unit width,
+/// independent of the data), the merged key sequence equals
+/// [`bin_sort`] of the union — the order differs at most between
+/// identical points.
+///
+/// If `sorted` is not in bin order the result is still a permutation of
+/// `0..n + k`, just not a bin order.
+pub fn bin_merge(sorted: &[Point2], new: &[Point2], order: BinOrder) -> Vec<PointId> {
+    let n = sorted.len();
+    assert!(
+        n + new.len() <= PointId::MAX as usize,
+        "dataset exceeds PointId capacity"
+    );
+    let key = |p: &Point2| bin_key(p, 1.0, order);
+    let batch = bin_sort(new, order);
+    let mut merged = Vec::with_capacity(n + new.len());
+    let mut old = 0;
+    for j in batch {
+        let k = key(&new[j as usize]);
+        while old < n && key(&sorted[old]) <= k {
+            merged.push(old as PointId);
+            old += 1;
+        }
+        merged.push((n + j as usize) as PointId);
+    }
+    merged.extend((old..n).map(|i| i as PointId));
+    merged
+}
+
 /// Sort key `(bin_y, signed bin_x, signed x, y)` implementing the
 /// serpentine traversal: odd rows negate the x components so their internal
 /// order is reversed.
@@ -177,6 +213,17 @@ mod tests {
         let perm = bin_sort(&points, BinOrder::RowMajor);
         let sorted = apply_permutation(&points, &perm);
         assert_eq!(sorted[0], Point2::new(-0.5, 0.5));
+    }
+
+    #[test]
+    fn merge_places_batch_points_in_their_bins() {
+        let sorted = pts(&[(0.5, 0.5), (2.5, 0.5), (2.5, 1.5), (0.5, 1.5)]);
+        // Row 1 runs right-to-left; the duplicate lands after the old point.
+        let new = pts(&[(1.5, 1.5), (1.5, 0.5), (0.5, 0.5)]);
+        let merged = bin_merge(&sorted, &new, BinOrder::Serpentine);
+        assert_eq!(merged, vec![0, 6, 5, 1, 2, 4, 3]);
+        assert_eq!(bin_merge(&sorted, &[], BinOrder::Serpentine), [0, 1, 2, 3]);
+        assert_eq!(bin_merge(&[], &new, BinOrder::Serpentine), [2, 1, 0]);
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub mod extent;
 pub mod mbb;
 pub mod point;
 
-pub use binning::{bin_sort, bin_sort_with_width, BinOrder};
+pub use binning::{bin_merge, bin_sort, bin_sort_with_width, BinOrder};
 pub use curves::{hilbert_key, hilbert_sort, morton_key, morton_sort};
 pub use distance::{dist, dist_sq, haversine_km, DistanceMetric, EARTH_RADIUS_KM};
 pub use extent::Extent;

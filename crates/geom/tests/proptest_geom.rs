@@ -1,7 +1,7 @@
 //! Property-based tests for the geometric primitives.
 
 use proptest::prelude::*;
-use vbp_geom::{bin_sort, BinOrder, DistanceMetric, Mbb, Point2};
+use vbp_geom::{bin_merge, bin_sort, BinOrder, DistanceMetric, Mbb, Point2};
 
 fn arb_point() -> impl Strategy<Value = Point2> {
     (-1000.0f64..1000.0, -1000.0f64..1000.0).prop_map(|(x, y)| Point2::new(x, y))
@@ -9,6 +9,19 @@ fn arb_point() -> impl Strategy<Value = Point2> {
 
 fn arb_points(max: usize) -> impl Strategy<Value = Vec<Point2>> {
     proptest::collection::vec(arb_point(), 0..max)
+}
+
+/// Quarter-step grid points in `[-3, 3)²`: few bins, negative
+/// coordinates, and frequent exact duplicates and shared bins.
+fn arb_grid_points(max: usize) -> impl Strategy<Value = Vec<Point2>> {
+    proptest::collection::vec(
+        (-12i32..12, -12i32..12).prop_map(|(x, y)| Point2::new(x as f64 / 4.0, y as f64 / 4.0)),
+        0..max,
+    )
+}
+
+fn in_order(points: &[Point2], perm: &[u32]) -> Vec<Point2> {
+    perm.iter().map(|&i| points[i as usize]).collect()
 }
 
 proptest! {
@@ -119,6 +132,43 @@ proptest! {
         for w in bins.windows(2) {
             prop_assert!(w[0] <= w[1]);
         }
+    }
+
+    #[test]
+    fn bin_merge_equals_bin_sort_of_the_union(
+        old in arb_grid_points(96),
+        new in arb_grid_points(96),
+        dups in 0usize..8,
+        empty_side in 0usize..4,
+        serp in any::<bool>(),
+    ) {
+        let order = if serp { BinOrder::Serpentine } else { BinOrder::RowMajor };
+        let (mut old, mut new) = (old, new);
+        match empty_side {
+            0 => old.clear(),
+            1 => new.clear(),
+            _ => {}
+        }
+        // Duplicates of existing points inside the batch.
+        for i in 0..dups.min(old.len()) {
+            new.push(old[(i * 7) % old.len()]);
+        }
+        let sorted = in_order(&old, &bin_sort(&old, order));
+        let merged = bin_merge(&sorted, &new, order);
+
+        // A bijection over old ∪ new (ids index `sorted ++ new`).
+        let union: Vec<Point2> = sorted.iter().chain(&new).copied().collect();
+        let mut ids = merged.clone();
+        ids.sort_unstable();
+        let expect: Vec<u32> = (0..union.len() as u32).collect();
+        prop_assert_eq!(ids, expect);
+
+        // Equal keys are equal points, so equal point sequences are equal
+        // key sequences.
+        prop_assert_eq!(
+            in_order(&union, &merged),
+            in_order(&union, &bin_sort(&union, order))
+        );
     }
 
     #[test]

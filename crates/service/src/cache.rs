@@ -356,44 +356,6 @@ impl DominanceCache {
         out
     }
 
-    /// Rewrites the stored result of every entry of `dataset` through
-    /// `f`, dropping entries for which `f` returns `None`. Counter-
-    /// neutral: unlike [`DominanceCache::maintain_after_append`] this
-    /// touches neither the repaired/dropped counters nor the eviction
-    /// counters beyond what a genuine size increase forces — it exists
-    /// for *order-preserving* rewrites, specifically re-keying cached
-    /// tree-order labels after the warm-state store flushes a dirty
-    /// append tail through a full re-sort (same points, new
-    /// permutation).
-    pub fn remap_results(
-        &mut self,
-        dataset: &str,
-        mut f: impl FnMut(&Variant, &ClusterResult) -> Option<Arc<ClusterResult>>,
-    ) {
-        let mut i = 0;
-        while i < self.entries.len() {
-            if self.entries[i].dataset != dataset {
-                i += 1;
-                continue;
-            }
-            match f(&self.entries[i].variant, &self.entries[i].result) {
-                Some(next) => {
-                    let bytes = result_bytes(&next);
-                    let e = &mut self.entries[i];
-                    self.bytes = self.bytes - e.bytes + bytes;
-                    e.result = next;
-                    e.bytes = bytes;
-                    i += 1;
-                }
-                None => {
-                    let gone = self.entries.swap_remove(i);
-                    self.bytes -= gone.bytes;
-                }
-            }
-        }
-        self.evict_to_budget();
-    }
-
     /// Structural self-check, used by the chaos suite after every fault
     /// schedule: the byte ledger matches the entries, the budget holds,
     /// no stamp outruns the clock, and no `(dataset, variant)` key is
@@ -658,36 +620,6 @@ mod tests {
         );
         // Repeat snapshots of one unchanged cache are identical.
         assert_eq!(key(&x.snapshot_entries()), key(&x.snapshot_entries()));
-    }
-
-    #[test]
-    fn remap_results_is_counter_neutral() {
-        let mut cache = DominanceCache::new(1 << 20);
-        cache.insert("d", Variant::new(1.0, 4), result_of(vec![0, 0, 1]));
-        cache.insert("d", Variant::new(2.0, 4), result_of(vec![0, 1, 1]));
-        cache.insert("other", Variant::new(1.0, 4), result_of(vec![0]));
-        let before = cache.stats();
-        cache.remap_results("d", |v, r| {
-            if v.eps > 1.5 {
-                None
-            } else {
-                // An order-preserving rewrite: same length, same size.
-                let mut raw: Vec<u32> = r.labels().iter_raw().collect();
-                raw.reverse();
-                Some(result_of(raw))
-            }
-        });
-        cache.check_invariants().unwrap();
-        let after = cache.stats();
-        assert_eq!(after.entries, 2);
-        assert_eq!((after.repaired, after.repair_dropped), (0, 0));
-        assert_eq!(after.evictions, before.evictions);
-        assert_eq!(after.insertions, before.insertions);
-        let hit = cache.lookup("d", 3, Variant::new(1.0, 4)).unwrap();
-        assert_eq!(
-            hit.result.labels().iter_raw().collect::<Vec<_>>(),
-            vec![1, 0, 0]
-        );
     }
 
     #[test]

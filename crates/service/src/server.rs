@@ -843,55 +843,10 @@ impl ServerHandle {
         }
     }
 
-    /// Flushes dirty append tails and writes every dataset + its cache
-    /// entries under `dir`. Only sound at quiescence (all server
-    /// threads joined), which [`ServerHandle::wait`] guarantees.
+    /// Writes every dataset + its cache entries under `dir`. Only
+    /// sound at quiescence (all server threads joined), which
+    /// [`ServerHandle::wait`] guarantees.
     fn persist_store(&self, dir: &std::path::Path) {
-        // A handle with an unsorted append tail would persist (and then
-        // restore) tail-degraded query locality forever. Flush it
-        // through the engine's re-sort path first, re-keying the
-        // dataset's cached tree-order labels through old-permutation →
-        // caller order → new-permutation (counter-neutral: nothing was
-        // repaired or dropped, only re-ordered).
-        for entry in self.shared.registry.entries() {
-            if entry.index.appended_since_sort() == 0 {
-                continue;
-            }
-            let old_perm = entry.index.permutation().to_vec();
-            let clean = self.shared.engine.resort_prepared(&entry.index);
-            let new_perm = clean.permutation();
-            // caller id -> old tree position.
-            let mut old_pos = vec![0u32; old_perm.len()];
-            for (tree_idx, &caller) in old_perm.iter().enumerate() {
-                old_pos[caller as usize] = tree_idx as u32;
-            }
-            let remap: Vec<usize> = new_perm
-                .iter()
-                .map(|&caller| old_pos[caller as usize] as usize)
-                .collect();
-            self.shared
-                .cache
-                .lock()
-                .unwrap()
-                .remap_results(&entry.name, |_, result| {
-                    if result.len() != remap.len() {
-                        // Covers a different generation (e.g. inserted
-                        // mid-drain race) — cannot be re-keyed soundly.
-                        return None;
-                    }
-                    let old_raw: Vec<u32> = result.labels().iter_raw().collect();
-                    let new_raw: Vec<u32> = remap.iter().map(|&i| old_raw[i]).collect();
-                    Some(Arc::new(ClusterResult::from_labels(Labels::from_raw(
-                        new_raw,
-                    ))))
-                });
-            self.shared.registry.swap(Arc::new(DatasetEntry {
-                name: entry.name.clone(),
-                points: entry.points.clone(),
-                index: clean,
-                suggested_eps: entry.suggested_eps,
-            }));
-        }
         let cache_entries = self.shared.cache.lock().unwrap().snapshot_entries();
         match crate::store::persist_all(dir, &self.shared.registry, &cache_entries) {
             Ok(n) => eprintln!("vbp-store: persisted {n} dataset(s) to {}", dir.display()),
@@ -1241,12 +1196,11 @@ fn repair_cache(
         return RepairStats::default();
     }
     let old_n = old_entry.points.len();
-    // The successor index's dynamic mirror answers ε-queries in caller
-    // id space, so "pre-append point" is simply `id < old_n`.
-    let dynamic = entry
-        .index
-        .dynamic()
-        .expect("append_to_prepared always materializes the dynamic mirror");
+    // The successor's packed tree answers ε-queries in tree order; its
+    // permutation maps a hit to its caller id, and caller ids below
+    // `old_n` are the pre-append points.
+    let tree = entry.index.t_low();
+    let perm = entry.index.permutation();
     let mut neighbors: Vec<vbp_geom::PointId> = Vec::new();
     let mut cache = shared.cache.lock().unwrap();
     cache.maintain_after_append(&entry.name, |variant, result| {
@@ -1257,8 +1211,11 @@ fn repair_cache(
         }
         for &p in appended {
             neighbors.clear();
-            dynamic.epsilon_neighbors(p, variant.eps, &mut neighbors);
-            if neighbors.iter().any(|&q| (q as usize) < old_n) {
+            tree.epsilon_neighbors(p, variant.eps, &mut neighbors);
+            if neighbors
+                .iter()
+                .any(|&q| (perm[q as usize] as usize) < old_n)
+            {
                 return None; // ε-region touched: old labels may shift
             }
         }
@@ -1941,6 +1898,50 @@ mod tests {
         );
         let mut handle = handle;
         handle.shutdown();
+    }
+
+    #[test]
+    fn append_repairs_isolated_entries_and_drops_touched_ones() {
+        const DS: &str = "cF_10k_5N@300";
+        let mut shared = bare_shared(4);
+        shared.cache_enabled = true;
+        shared.cache = Mutex::new(DominanceCache::new(1 << 20));
+        shared.registry.load(&shared.engine, DS).unwrap();
+        let entry = shared.registry.get(DS).unwrap();
+        let v = Variant::new(entry.suggested_eps.unwrap_or(1.0), 4);
+        let variants = VariantSet::new(vec![v]);
+        let cluster = |entry: &DatasetEntry| {
+            let request = RunRequest::prepared(&entry.index, &variants);
+            Arc::clone(&shared.engine.execute(&request).unwrap().results[0])
+        };
+        shared.cache.lock().unwrap().insert(DS, v, cluster(&entry));
+
+        // Farther than ε from every point, and first in bin order: a judge
+        // that read tree positions as caller ids would see `0 < old_n`.
+        let far = [Point2::new(-1e3, -1e3), Point2::new(-1e3 + 0.1, -1e3)];
+        let out = apply_append(&shared, DS, &far).unwrap();
+        assert_eq!((out.repaired, out.dropped), (1, 0));
+        let grown = shared.registry.get(DS).unwrap();
+        assert_eq!(grown.index.permutation()[0] as usize, entry.points.len());
+        let hit = shared
+            .cache
+            .lock()
+            .unwrap()
+            .lookup(DS, grown.points.len(), v)
+            .expect("repaired entry answers at the grown size");
+        // The old points keep their relative tree order, so even the
+        // cluster ids match a from-scratch run.
+        assert_eq!(
+            grown.index.labels_in_caller_order(&hit.result),
+            grown.index.labels_in_caller_order(&cluster(&grown)),
+            "repaired labels differ from a from-scratch run"
+        );
+
+        // On top of an existing point: inside ε, the entry is dropped.
+        let out = apply_append(&shared, DS, &[grown.points[17]]).unwrap();
+        assert_eq!((out.repaired, out.dropped), (0, 1));
+        let n = grown.points.len() + 1;
+        assert!(shared.cache.lock().unwrap().lookup(DS, n, v).is_none());
     }
 
     #[test]

@@ -1126,7 +1126,7 @@ fn kill_and_restart_with_store_restores_warm_and_correct() {
     let mut rng = Pcg32::seeded(0x0005_704E_A11E);
     let ctx = "store-restart";
 
-    // Incarnation A: dirty the index tail, populate the cache, drain.
+    // Incarnation A: append, populate the cache, drain.
     let pts_a: Vec<Point2>;
     {
         let mut handle = store_server(&dir);
@@ -1151,7 +1151,7 @@ fn kill_and_restart_with_store_restores_warm_and_correct() {
         let stats = client.stats_json().unwrap();
         assert_eq!(field_u64(&stats, "store_restored"), 0, "{ctx}: A restored");
         client.shutdown().unwrap();
-        handle.wait(); // persists: resorts the dirty tail, remaps the cache
+        handle.wait(); // persists the grown dataset and its cache
     }
 
     // Incarnation B: same dataset, no store — appends and caches more,

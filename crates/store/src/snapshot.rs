@@ -13,14 +13,13 @@
 //! The snapshot deliberately stores **no tree level MBBs**. Both packed
 //! trees are pure functions of the tree-order point array, the chosen
 //! `r`, and the fanout — `PackedRTree::from_sorted_with_fanout` is the
-//! single construction path for fresh builds, maintained appends, and
-//! re-sorts alike — so a restore re-derives them bit-identically in
-//! O(n) instead of reading, checksumming, and *re-validating* 32 bytes
-//! per point of redundant geometry. (Validation is not optional: a
-//! CRC-valid file can still be a crafted one, and a leaf MBB that fails
-//! to cover its points silently drops neighbors. Deriving the levels
-//! from the checked points makes that entire attack surface
-//! unrepresentable.) What remains on disk is exactly the expensive,
+//! single construction path for fresh builds and appends alike — so a
+//! restore re-derives them bit-identically in O(n) instead of reading,
+//! checksumming, and *re-validating* 32 bytes per point of redundant
+//! geometry. (Validation is not optional: a CRC-valid file can still be
+//! a crafted one, and a leaf MBB that fails to cover its points silently
+//! drops neighbors. Deriving the levels from the checked points makes
+//! that entire attack surface unrepresentable.) What remains on disk is exactly the expensive,
 //! non-derivable state: the bin-sorted point order and the tuned `r`.
 //!
 //! Every decoder here is total: lengths are cross-checked against the
@@ -83,8 +82,10 @@ pub struct IndexSnapshot {
     pub tune: Option<TuneReport>,
     /// Accumulated build + maintenance wall time, nanoseconds.
     pub build_time_ns: u64,
-    /// Points appended at the tree tail since the last full bin sort
-    /// (the append generation counter).
+    /// Legacy: points an older version appended at the tree tail since
+    /// its last full bin sort. Appends now merge into bin order, so new
+    /// files always carry 0; a non-zero value is bounds-checked on
+    /// decode and otherwise ignored.
     pub appended_since_sort: u64,
 }
 

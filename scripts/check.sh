@@ -32,6 +32,10 @@
 # trace-overhead stage (skipped under --fast) replays the
 # engine_contention workload with tracing off/spans/full interleaved and
 # fails if the disabled-mode A/A delta exceeds max(1%, measured noise).
+# A streaming-append gate (skipped under --fast) grows a small dataset
+# through APPEND batches and fails if a from-scratch query on the
+# appended index is slower than on a fresh prepare of the same points by
+# more than max(10%, measured noise).
 # A store property stage replays the on-disk reader totality suite (byte
 # soup, truncations, single-bit flips against the two-layer CRCs), and a
 # store-restore gate (skipped under --fast) fails unless a warm restore
@@ -118,6 +122,10 @@ if [[ $fast -eq 0 ]]; then
   echo "==> trace overhead gate (engine_contention workload, off vs on)"
   timeout 600 cargo run --release -q -p vbp-bench --bin trace_overhead -- \
     --points 3000 --trials 6 --threads 2
+
+  echo "==> streaming append gate (appended index queries like a fresh prepare)"
+  timeout 600 cargo run --release -q -p vbp-bench --bin streaming_throughput -- \
+    --points 4000 --trials 9 32 8
 
   echo "==> store restore gate (warm restore >= 10x cold prepare)"
   timeout 600 cargo run --release -q -p vbp-bench --bin store_restore -- \
