@@ -33,6 +33,8 @@ fn grid(size: usize) -> VariantSet {
 }
 
 fn bench_contention(c: &mut Criterion) {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!("cpus = {cpus} (available_parallelism)");
     let points = SyntheticSpec::new(SyntheticClass::CF, 6_000, 0.15, 4242).generate();
     let mut group = c.benchmark_group("engine_contention");
     group.sample_size(10);

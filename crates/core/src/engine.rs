@@ -16,8 +16,8 @@
 //!
 //! Every run goes through [`Engine::execute`] with a [`RunRequest`]
 //! describing the database (raw points or a [`PreparedIndex`]), the
-//! variant set, optional warm reuse sources, the [`TraceLevel`], and an
-//! optional progress channel:
+//! variant set, optional warm reuse sources, the [`TraceLevel`] and an
+//! optional [`Sharding`] policy:
 //!
 //! ```
 //! use variantdbscan::{Engine, EngineConfig, RunRequest, VariantSet};
@@ -31,9 +31,6 @@
 //! let report = engine.execute(&RunRequest::new(&points, &variants)).unwrap();
 //! assert_eq!(report.outcomes.len(), 2);
 //! ```
-//!
-//! The pre-consolidation method matrix (`run`/`try_run` ×
-//! `prepared` × `warm`) survives as thin deprecated wrappers.
 //!
 //! # Concurrency structure
 //!
@@ -673,9 +670,8 @@ struct ShardPlan {
 }
 
 /// One engine run, described declaratively: the database, the variant
-/// set, and the run's options — warm reuse sources, [`TraceLevel`], and
-/// an optional progress channel. The builder replaces the former
-/// `run`/`try_run` × `prepared` × `warm` method matrix:
+/// set, and the run's options — warm reuse sources, [`TraceLevel`] and
+/// [`Sharding`]:
 ///
 /// ```no_run
 /// # use variantdbscan::{Engine, RunRequest, TraceLevel, VariantSet};
@@ -691,7 +687,6 @@ pub struct RunRequest<'a> {
     variants: &'a VariantSet,
     warm: &'a [WarmSource],
     trace: TraceLevel,
-    progress: Option<mpsc::Sender<crate::progress::ProgressEvent>>,
     sharding: Option<Sharding>,
 }
 
@@ -713,7 +708,6 @@ impl<'a> RunRequest<'a> {
             variants,
             warm: &[],
             trace: TraceLevel::Off,
-            progress: None,
             sharding: None,
         }
     }
@@ -733,13 +727,6 @@ impl<'a> RunRequest<'a> {
     /// snapshot.
     pub fn trace(mut self, level: TraceLevel) -> RunRequest<'a> {
         self.trace = level;
-        self
-    }
-
-    /// Streams [`ProgressEvent`](crate::progress::ProgressEvent)s into
-    /// `tx` while the run executes.
-    pub fn progress(mut self, tx: mpsc::Sender<crate::progress::ProgressEvent>) -> RunRequest<'a> {
-        self.progress = Some(tx);
         self
     }
 
@@ -827,11 +814,6 @@ impl Engine {
                     });
                 }
                 prepared_local = self.prepare_unchecked(points, representative_eps(variants));
-                if let Some(tx) = &request.progress {
-                    let _ = tx.send(crate::progress::ProgressEvent::IndexBuilt {
-                        seconds: prepared_local.build_time.as_secs_f64(),
-                    });
-                }
                 (&prepared_local, prepared_local.build_time)
             }
             RunSource::Prepared(index) => (index, Duration::ZERO),
@@ -851,48 +833,11 @@ impl Engine {
             index,
             variants,
             request.warm,
-            request.progress.clone(),
             request.trace,
             request.sharding,
         )?;
         report.index_build_time = build_time;
         Ok(report)
-    }
-
-    /// Clusters every variant of `variants` over `points`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`EngineError`], including contained job panics —
-    /// the legacy contract. Use [`Engine::execute`] for typed errors.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Engine::execute(&RunRequest::new(points, variants))`"
-    )]
-    pub fn run(&self, points: &[Point2], variants: &VariantSet) -> RunReport {
-        match self.execute(&RunRequest::new(points, variants)) {
-            Ok(report) => report,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Like the legacy `run`, but returns invalid input as an
-    /// [`EngineError`] instead of panicking. A contained job panic still
-    /// propagates as a panic (the legacy contract).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Engine::execute(&RunRequest::new(points, variants))`"
-    )]
-    pub fn try_run(
-        &self,
-        points: &[Point2],
-        variants: &VariantSet,
-    ) -> Result<RunReport, EngineError> {
-        match self.execute(&RunRequest::new(points, variants)) {
-            Ok(report) => Ok(report),
-            Err(EngineError::JobPanic(p)) => panic!("{p}"),
-            Err(e) => Err(e),
-        }
     }
 
     /// Builds the two shared R-trees (and runs the [`RChoice::Auto`]
@@ -1017,83 +962,6 @@ impl Engine {
         ))
     }
 
-    /// Clusters `variants` over a prebuilt index.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`EngineError`] — the legacy contract.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Engine::execute(&RunRequest::prepared(index, variants))`"
-    )]
-    pub fn run_prepared(&self, index: &PreparedIndex, variants: &VariantSet) -> RunReport {
-        match self.execute(&RunRequest::prepared(index, variants)) {
-            Ok(report) => report,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Like the legacy `run_prepared`, but a panicking clustering job is
-    /// contained inside its worker and surfaced as a typed [`JobPanic`]
-    /// instead of unwinding through the caller.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Engine::execute(&RunRequest::prepared(index, variants))`"
-    )]
-    pub fn try_run_prepared(
-        &self,
-        index: &PreparedIndex,
-        variants: &VariantSet,
-    ) -> Result<RunReport, JobPanic> {
-        match self.execute(&RunRequest::prepared(index, variants)) {
-            Ok(report) => Ok(report),
-            Err(EngineError::JobPanic(p)) => Err(p),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Clusters `variants` over a prebuilt index with warm reuse sources.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a warm result covers a different database size than the
-    /// index, and on contained job panics — the legacy contract.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Engine::execute(&RunRequest::prepared(index, variants).warm(sources))`"
-    )]
-    pub fn run_prepared_warm(
-        &self,
-        index: &PreparedIndex,
-        variants: &VariantSet,
-        warm: &[WarmSource],
-    ) -> RunReport {
-        match self.execute(&RunRequest::prepared(index, variants).warm(warm)) {
-            Ok(report) => report,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Like the legacy `run_prepared_warm`, but with contained panics
-    /// surfaced as a typed [`JobPanic`]. A mismatched warm source still
-    /// panics (the legacy contract; [`Engine::execute`] types it).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Engine::execute(&RunRequest::prepared(index, variants).warm(sources))`"
-    )]
-    pub fn try_run_prepared_warm(
-        &self,
-        index: &PreparedIndex,
-        variants: &VariantSet,
-        warm: &[WarmSource],
-    ) -> Result<RunReport, JobPanic> {
-        match self.execute(&RunRequest::prepared(index, variants).warm(warm)) {
-            Ok(report) => Ok(report),
-            Err(EngineError::JobPanic(p)) => Err(p),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// The engine core: clusters `variants` over a prepared index with
     /// optional warm sources. A panic inside any clustering job is caught
     /// in its worker, recorded first-wins in a shared slot, and turned
@@ -1103,11 +971,9 @@ impl Engine {
         index: &PreparedIndex,
         variants: &VariantSet,
         warm: &[WarmSource],
-        progress: Option<mpsc::Sender<crate::progress::ProgressEvent>>,
         trace: TraceLevel,
         sharding: Option<Sharding>,
     ) -> Result<RunReport, JobPanic> {
-        use crate::progress::ProgressEvent;
         let n_var = variants.len();
 
         // Two-level placement: a wide sharded run trades outer
@@ -1155,7 +1021,6 @@ impl Engine {
                     let schedule = &schedule;
                     let results = &results[..];
                     let panic_slot = &panic_slot;
-                    let progress = progress.clone();
                     let outcome_tx = outcome_tx.clone();
                     scope.spawn(move || {
                         worker_loop(
@@ -1170,7 +1035,6 @@ impl Engine {
                             panic_slot,
                             outcome_tx,
                             t0,
-                            progress,
                             trace,
                             shard_plan,
                         )
@@ -1205,9 +1069,6 @@ impl Engine {
         let trace_snapshot = trace
             .enabled()
             .then(|| TraceSnapshot::from_workers(tracers));
-        if let Some(tx) = &progress {
-            let _ = tx.send(ProgressEvent::Finished { variants: n_var });
-        }
 
         // All worker-held senders are gone; drop ours and drain.
         drop(outcome_tx);
@@ -1287,7 +1148,6 @@ fn worker_loop(
     panic_slot: &OnceLock<JobPanic>,
     outcome_tx: mpsc::Sender<VariantOutcome>,
     t0: Instant,
-    progress: Option<mpsc::Sender<crate::progress::ProgressEvent>>,
     trace: TraceLevel,
     shard_plan: Option<ShardPlan>,
 ) -> WorkerOutput {
@@ -1508,9 +1368,6 @@ fn worker_loop(
             let sched = acquired.elapsed();
             stats.sched_time += sched;
             phases.sched.record(sched);
-        }
-        if let Some(tx) = &progress {
-            let _ = tx.send(crate::progress::ProgressEvent::VariantDone(outcome.clone()));
         }
         let _ = outcome_tx.send(outcome);
     }
@@ -2386,55 +2243,6 @@ mod tests {
         }
     }
 
-    /// The deprecated method matrix must keep its exact legacy contracts
-    /// (panic text included) while forwarding to [`Engine::execute`].
-    #[test]
-    #[allow(deprecated, clippy::disallowed_methods)]
-    fn legacy_wrappers_preserve_contracts() {
-        let points = blobs(300, 3, 105);
-        let variants = small_grid();
-        let engine = Engine::new(EngineConfig::default().with_threads(2).with_r(16));
-
-        // run / try_run match execute over raw points.
-        let legacy = engine.run(&points, &variants);
-        let new = run(&engine, &points, &variants);
-        assert_eq!(legacy.outcomes.len(), new.outcomes.len());
-        for i in 0..variants.len() {
-            assert_eq!(
-                legacy.results[i].num_clusters(),
-                new.results[i].num_clusters()
-            );
-        }
-        let bad = vec![Point2::new(0.0, 0.0), Point2::new(f64::NAN, 1.0)];
-        match engine.try_run(&bad, &variants).unwrap_err() {
-            EngineError::NonFinitePoint { index, .. } => assert_eq!(index, 1),
-            other => panic!("wrong error: {other:?}"),
-        }
-        let unwound =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.run(&bad, &variants)));
-        let msg = *unwound.unwrap_err().downcast::<String>().unwrap();
-        assert!(msg.contains("non-finite"), "{msg}");
-
-        // run_prepared / run_prepared_warm forward too; a mismatched warm
-        // source keeps the legacy panic text.
-        let prepared = engine.prepare(&points, None).unwrap();
-        let via_wrapper = engine.run_prepared(&prepared, &variants);
-        assert_eq!(via_wrapper.outcomes.len(), variants.len());
-        assert!(engine.try_run_prepared(&prepared, &variants).is_ok());
-        let small = engine.prepare(&points[..50], None).unwrap();
-        let donor_variants = VariantSet::replicated(Variant::new(1.0, 4), 1);
-        let donor = engine.run_prepared(&small, &donor_variants);
-        let warm = vec![WarmSource {
-            variant: Variant::new(1.0, 4),
-            result: Arc::clone(&donor.results[0]),
-        }];
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.run_prepared_warm(&prepared, &variants, &warm)
-        }));
-        let msg = *unwound.unwrap_err().downcast::<String>().unwrap();
-        assert!(msg.contains("different database"), "{msg}");
-    }
-
     // The fault seam is a process-global atomic shared by every test in
     // this binary, so all containment scenarios run inside one #[test]
     // (parallel harness ordering must not matter). The poisoned ε values
@@ -2507,15 +2315,5 @@ mod tests {
         // complete — the failed run leaked nothing that poisons later runs.
         let report = run_prepared(&engine, &index, &mixed);
         assert_all_complete_once(&report, 4);
-
-        // The panicking wrappers preserve the legacy contract.
-        let _armed = crate::fault::ArmedFault::new(11.5);
-        let poison_set = VariantSet::new(vec![Variant::new(11.5, 4)]);
-        #[allow(deprecated, clippy::disallowed_methods)]
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.run_prepared(&index, &poison_set)
-        }));
-        let msg = *unwound.unwrap_err().downcast::<String>().unwrap();
-        assert!(msg.contains(crate::fault::INJECTED_PANIC_PREFIX), "{msg}");
     }
 }

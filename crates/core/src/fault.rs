@@ -18,7 +18,7 @@
 //! restores the default.
 //!
 //! The containment contract under test lives in
-//! [`Engine::try_run_prepared_warm`](crate::Engine::try_run_prepared_warm):
+//! [`Engine::execute`](crate::Engine::execute):
 //! an injected panic must surface as a typed [`JobPanic`](crate::JobPanic)
 //! for that run while the process — dispatcher threads, caches, other
 //! connections — stays alive.

@@ -48,7 +48,6 @@ pub mod engine;
 pub mod expand;
 pub mod fault;
 pub mod metrics;
-pub mod progress;
 pub mod scheduler;
 pub mod seeds;
 pub mod sim;
@@ -65,7 +64,6 @@ pub use metrics::{
     tune_report_to_json, ExecutionPath, JsonArray, JsonObject, RunReport, ShardTotals,
     VariantOutcome, WorkerStats,
 };
-pub use progress::ProgressEvent;
 pub use scheduler::{Assignment, ReferenceScheduleState, ScheduleSource, ScheduleState, Scheduler};
 pub use seeds::{seed_list, ReuseScheme};
 pub use sim::{simulate, simulate_with, SimCostModel, SimOutcome, SimReport};

@@ -46,7 +46,7 @@ pub struct VariantOutcome {
     pub path: ExecutionPath,
     /// `true` when the reuse source was a *warm* one — a cached
     /// clustering completed by an earlier run over the same prepared
-    /// index (see [`Engine::run_prepared_warm`](crate::Engine)) rather
+    /// index (see [`RunRequest::warm`](crate::RunRequest::warm)) rather
     /// than a variant of this run. Always `false` for from-scratch
     /// executions.
     pub warm: bool,
@@ -195,8 +195,8 @@ pub struct RunReport {
     /// Per-worker contention/utilization accounting, one entry per
     /// thread (unordered; see [`WorkerStats::thread`]).
     pub worker_stats: Vec<WorkerStats>,
-    /// Warm reuse sources the run was seeded with (0 outside
-    /// [`Engine::run_prepared_warm`](crate::Engine)).
+    /// Warm reuse sources the run was seeded with (0 unless the request
+    /// set [`RunRequest::warm`](crate::RunRequest::warm)).
     pub warm_seeds: usize,
     /// Per-phase latency histograms (scratch/reuse busy time, lock wait,
     /// schedule decisions, shard local/merge), merged across workers.

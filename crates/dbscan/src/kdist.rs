@@ -9,7 +9,6 @@
 //! chord — useful for constructing sensible variant grids around a
 //! data-driven center value.
 
-use vbp_geom::PointId;
 use vbp_rtree::{PackedRTree, SpatialIndex};
 
 /// A detected knee of the sorted k-distance plot.
@@ -89,19 +88,6 @@ pub fn suggest_eps(tree: &PackedRTree, minpts: usize, stride: usize) -> Option<f
     })
 }
 
-/// Ids of the points whose k-distance exceeds `eps` — the prospective
-/// noise under `(eps, k)`, handy for pre-filtering experiments.
-pub fn kdist_outliers(tree: &PackedRTree, k: usize, eps: f64) -> Vec<PointId> {
-    let mut out = Vec::new();
-    for (i, &p) in tree.points().iter().enumerate() {
-        match tree.kth_neighbor_dist(p, k) {
-            Some(d) if d <= eps => {}
-            _ => out.push(i as PointId),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,18 +152,6 @@ mod tests {
         let t = tree_of(pts);
         let eps = suggest_eps(&t, 4, 1).unwrap();
         assert!((0.1..50.0).contains(&eps), "eps = {eps}");
-    }
-
-    #[test]
-    fn outliers_detected() {
-        let mut pts: Vec<Point2> = (0..20).map(|i| Point2::new(i as f64 * 0.1, 0.0)).collect();
-        pts.push(Point2::new(500.0, 500.0));
-        let t = tree_of(pts);
-        let out = kdist_outliers(&t, 3, 1.0);
-        assert_eq!(out.len(), 1);
-        // In tree order the outlier is still the far point; check coords.
-        let p = t.points()[out[0] as usize];
-        assert_eq!(p, Point2::new(500.0, 500.0));
     }
 
     #[test]

@@ -37,7 +37,6 @@ pub mod knn;
 pub mod packed;
 pub mod stats;
 pub mod str_bulk;
-pub mod ti;
 pub mod traits;
 pub mod tuner;
 
@@ -48,6 +47,5 @@ pub use hilbert::HilbertRTree;
 pub use packed::PackedRTree;
 pub use stats::TreeStats;
 pub use str_bulk::StrRTree;
-pub use ti::TiIndex;
 pub use traits::{shared_points, SharedPoints, SpatialIndex};
 pub use tuner::{tune_r, tune_r_default, tune_r_sampled, TuneReport, DEFAULT_R_CANDIDATES};

@@ -14,7 +14,7 @@
 
 use vbp_geom::{Point2, PointId};
 use vbp_rtree::traits::shared_points;
-use vbp_rtree::{BruteForce, DynamicRTree, GridIndex, PackedRTree, SpatialIndex, TiIndex};
+use vbp_rtree::{BruteForce, DynamicRTree, GridIndex, PackedRTree, SpatialIndex};
 
 /// Scales the case budget: 1 by default, 4 under `VBP_CONFORMANCE_FULL=1`.
 fn budget() -> usize {
@@ -161,8 +161,6 @@ fn all_backends_agree_with_the_oracle() {
         let dynamic = DynamicRTree::from_points(points);
         let grid_cell = family.eps.iter().copied().fold(0.0f64, f64::max).max(0.25);
         let grid = GridIndex::build(shared.clone(), grid_cell);
-        // TiIndex permutes: `perm[i]` is the caller id of index point i.
-        let (ti, ti_perm) = TiIndex::build(points);
 
         for &eps in &family.eps {
             for center in centers(points) {
@@ -202,11 +200,6 @@ fn all_backends_agree_with_the_oracle() {
                 let mut out = Vec::new();
                 grid.epsilon_neighbors(center, eps, &mut out);
                 assert_eq!(sorted(out), expect, "{}", ctx("grid"));
-
-                let mut out = Vec::new();
-                ti.epsilon_neighbors(center, eps, &mut out);
-                let mapped: Vec<PointId> = out.iter().map(|&i| ti_perm[i as usize]).collect();
-                assert_eq!(sorted(mapped), expect, "{}", ctx("ti"));
             }
         }
     }

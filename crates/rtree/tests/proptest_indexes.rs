@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use vbp_geom::{Mbb, Point2, PointId};
 use vbp_rtree::traits::shared_points;
 use vbp_rtree::{
-    BruteForce, DynamicRTree, GridIndex, HilbertRTree, PackedRTree, SpatialIndex, StrRTree, TiIndex,
+    BruteForce, DynamicRTree, GridIndex, HilbertRTree, PackedRTree, SpatialIndex, StrRTree,
 };
 
 fn arb_points(max: usize) -> impl Strategy<Value = Vec<Point2>> {
@@ -166,24 +166,6 @@ proptest! {
         tree.epsilon_neighbors(Point2::new(cx, cy), eps, &mut out);
         prop_assert_eq!(
             coord_multiset(&tree, &out),
-            brute_epsilon(&points, Point2::new(cx, cy), eps)
-        );
-    }
-
-    #[test]
-    fn ti_index_equals_brute_force(
-        points in arb_points(300),
-        cx in -60.0f64..60.0,
-        cy in -60.0f64..60.0,
-        eps in 0.0f64..30.0,
-        rx in -100.0f64..100.0,
-        ry in -100.0f64..100.0,
-    ) {
-        let (index, _) = TiIndex::build_with_reference(&points, Point2::new(rx, ry));
-        let mut out = Vec::new();
-        index.epsilon_neighbors(Point2::new(cx, cy), eps, &mut out);
-        prop_assert_eq!(
-            coord_multiset(&index, &out),
             brute_epsilon(&points, Point2::new(cx, cy), eps)
         );
     }

@@ -79,6 +79,4 @@ pub use store::{
     RestoredDataset, StoreBoot, STORE_EXT,
 };
 pub use transport::{LineEvent, LineIo, TcpTransport, Transport};
-#[allow(deprecated)]
-pub use workload::run_cold_warm;
 pub use workload::{run_cold_warm_on, ColdWarmReport};

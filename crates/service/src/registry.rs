@@ -5,7 +5,7 @@
 //! registered dataset keeps its points plus a [`PreparedIndex`] (the
 //! `T_low`/`T_high` pair of the paper's §IV-A) alive for the process
 //! lifetime. Requests then run through
-//! [`Engine::run_prepared_warm`](variantdbscan::Engine) against the
+//! [`Engine::execute`](variantdbscan::Engine::execute) against the
 //! stored handle.
 //!
 //! Datasets are addressed by their Table I catalog names

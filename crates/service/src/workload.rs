@@ -14,7 +14,7 @@
 use std::time::Instant;
 
 use crate::api::DatasetService;
-use crate::client::{Client, ClientError};
+use crate::client::ClientError;
 
 /// One cold round + one warm round of the same workload.
 #[derive(Clone, Debug)]
@@ -74,38 +74,4 @@ pub fn run_cold_warm_on(
         warm_hits,
         stats_json,
     })
-}
-
-/// Line-protocol-only predecessor of [`run_cold_warm_on`].
-#[deprecated(
-    since = "0.1.0",
-    note = "connect a `Client` (or any `DatasetService`) and call `run_cold_warm_on`"
-)]
-pub fn run_cold_warm(
-    addr: std::net::SocketAddr,
-    requests: &[(String, f64, usize)],
-) -> Result<ColdWarmReport, ClientError> {
-    let mut client = Client::connect(addr)?;
-    let report = run_cold_warm_on(&mut client, requests)?;
-    client.quit();
-    Ok(report)
-}
-
-#[cfg(test)]
-mod tests {
-    /// The deprecated wrapper must keep its legacy contract: the
-    /// original `(SocketAddr, requests)` signature, with connect
-    /// failure surfaced as `ClientError::Io`.
-    #[test]
-    #[allow(deprecated, clippy::disallowed_methods)]
-    fn legacy_run_cold_warm_keeps_its_signature_and_io_errors() {
-        // Nothing listens on a reserved low port from an unprivileged
-        // test; the wrapper must answer Io, not panic.
-        let addr: std::net::SocketAddr = "127.0.0.1:1".parse().unwrap();
-        match super::run_cold_warm(addr, &[]) {
-            Err(crate::client::ClientError::Io(_)) => {}
-            Err(other) => panic!("expected Io, got {other}"),
-            Ok(_) => panic!("connect to a dead port cannot succeed"),
-        }
-    }
 }

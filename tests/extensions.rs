@@ -1,7 +1,6 @@
 //! Integration tests for the beyond-the-paper components, exercised
 //! through the umbrella crate exactly as a downstream user would.
 
-use vbp::variantdbscan::{Engine, EngineConfig, ProgressEvent, ReuseScheme, VariantSet};
 use vbp::vbp_data::{SpaceWeatherSpec, SyntheticClass, SyntheticSpec};
 use vbp::vbp_dbscan::{
     adjusted_rand_index, dbscan, grid_dbscan, normalized_mutual_information, parallel_dbscan,
@@ -66,41 +65,6 @@ fn external_indices_rank_partitions_sensibly() {
     let nmi_near = normalized_mutual_information(&base, &near);
     let nmi_far = normalized_mutual_information(&base, &far);
     assert!(nmi_near > nmi_far, "NMI: near {nmi_near} vs far {nmi_far}");
-}
-
-/// The progress stream reports every variant exactly once, in completion
-/// order consistent with the final report.
-#[test]
-fn progress_stream_matches_report() {
-    let points = dataset(1_200);
-    let variants = VariantSet::cartesian(&[0.5, 0.7, 0.9], &[4, 8]);
-    let engine = Engine::new(
-        EngineConfig::default()
-            .with_threads(3)
-            .with_r(40)
-            .with_reuse(ReuseScheme::ClusDensity),
-    );
-    let (report, rx) = engine.run_with_progress(&points, &variants);
-    let mut done = 0;
-    let mut finished = false;
-    for event in rx.try_iter() {
-        match event {
-            ProgressEvent::IndexBuilt { seconds } => assert!(seconds >= 0.0),
-            ProgressEvent::VariantDone(o) => {
-                done += 1;
-                // Outcome in the stream matches the report's record.
-                let in_report = &report.outcomes[o.index];
-                assert_eq!(in_report.variant, o.variant);
-                assert_eq!(in_report.clusters, o.clusters);
-            }
-            ProgressEvent::Finished { variants: v } => {
-                finished = true;
-                assert_eq!(v, 6);
-            }
-        }
-    }
-    assert_eq!(done, 6);
-    assert!(finished);
 }
 
 /// Incremental DBSCAN over a simulated TEC stream stays consistent with
